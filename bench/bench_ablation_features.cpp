@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
                    "GRIMP-E (EmbDI)"});
   for (const std::string& dataset : config.datasets) {
     std::vector<std::string> row{dataset};
-    for (const std::string& algo : {"GRIMP-R", "GRIMP-FT", "GRIMP-E"}) {
+    for (const std::string algo : {"GRIMP-R", "GRIMP-FT", "GRIMP-E"}) {
       for (const auto& cell : results) {
         if (cell.dataset == dataset && cell.algorithm == algo) {
           row.push_back(TextTable::Num(cell.accuracy, 3));

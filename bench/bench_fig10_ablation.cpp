@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     TextTable table({"dataset", "GRIMP-MT", "GNN-MC", "EmbDI-MC"});
     for (const std::string& dataset : config.datasets) {
       std::vector<std::string> row{dataset};
-      for (const std::string& algo : {"GRIMP-E", "GNN-MC", "EmbDI-MC"}) {
+      for (const std::string algo : {"GRIMP-E", "GNN-MC", "EmbDI-MC"}) {
         for (const auto& cell : results) {
           if (cell.dataset == dataset && cell.error_rate == rate &&
               cell.algorithm == algo) {

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"Error %", "Strategy", "Accuracy", "Time (s)"});
   for (double rate : config.error_rates) {
-    for (const std::string& algo : {"GRIMP-FT", "GRIMP-FT-Lin"}) {
+    for (const std::string algo : {"GRIMP-FT", "GRIMP-FT-Lin"}) {
       double acc_sum = 0, time_sum = 0;
       int n = 0;
       for (const auto& cell : results) {

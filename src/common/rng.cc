@@ -6,21 +6,23 @@
 
 namespace grimp {
 
-namespace {
-// splitmix64, used to expand the seed into the xoshiro state.
-uint64_t SplitMix64(uint64_t* x) {
-  uint64_t z = (*x += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
+namespace {
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t s = seed;
-  for (auto& w : s_) w = SplitMix64(&s);
+  // Consecutive splitmix64 outputs from state `seed`.
+  for (auto& w : s_) {
+    w = SplitMix64(seed);
+    seed += 0x9e3779b97f4a7c15ULL;
+  }
 }
 
 uint64_t Rng::Next() {

@@ -8,6 +8,18 @@
 
 namespace grimp {
 
+// The one stateless seed mixer: the splitmix64 finalizer applied to
+// x + golden ratio. Also expands Rng seeds into xoshiro state.
+uint64_t SplitMix64(uint64_t x);
+
+// Seed of one derived stream, a pure function of its coordinates (never
+// of thread count, scheduling or visit order): the sampler keys draws on
+// (nonce ^ layer, type, node), the trainer on (seed, epoch, batch) and
+// streaming inference on (seed, task, nonce).
+inline uint64_t MixSeed(uint64_t seed, uint64_t a, uint64_t b) {
+  return SplitMix64(SplitMix64(SplitMix64(seed) ^ a) ^ b);
+}
+
 // Deterministic, fast PRNG (xoshiro256**). Every stochastic component in
 // the library takes an explicit Rng (or a seed) so that experiments are
 // reproducible bit-for-bit.

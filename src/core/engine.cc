@@ -2,85 +2,43 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <memory>
+#include <system_error>
 #include <utility>
 
 #include "common/binary_io.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
+#include "core/pipeline.h"
 #include "tensor/arena.h"
 #include "tensor/simd.h"
-#include "common/trace.h"
-#include "core/corpus.h"
-#include "core/pipeline.h"
-#include "graph/builder.h"
-#include "graph/sampler.h"
-#include "graph/store.h"
 
 namespace grimp {
 
 namespace {
 
-// Gather indices of one tuple's training/imputation vector: cell nodes of
-// the row with `masked_col` (and missing cells) mapped to -1.
-// `node_offset` shifts node ids into a batched union graph (0 solo).
-void AppendRowIndices(const Table& table, const TableGraph& tg, int64_t row,
-                      int masked_col, int64_t node_offset,
-                      std::vector<int32_t>* idx) {
-  for (int c = 0; c < table.num_cols(); ++c) {
-    if (c == masked_col) {
-      idx->push_back(-1);
-      continue;
-    }
-    const int32_t code = table.column(c).CodeAt(row);
-    const int64_t node = code < 0 ? -1 : tg.CellNode(c, code);
-    idx->push_back(node < 0 ? -1
-                            : static_cast<int32_t>(node + node_offset));
-  }
-}
-
-
-// Sampling-stream seed for one streaming-inference task: a pure function
-// of (engine seed, task, caller nonce) — never of graph state or thread
-// count — so incremental and rebuilt live graphs impute identically.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-uint64_t StreamMixSeed(uint64_t seed, uint64_t task, uint64_t nonce) {
-  return SplitMix64(SplitMix64(SplitMix64(seed) ^ task) ^ nonce);
-}
 // Salt separating streaming-inference sampling streams from training's.
 constexpr uint64_t kStreamSalt = 0x73747265616dULL;  // "stream"
 // Salt for Resume's sample selection / fine-tune streams.
 constexpr uint64_t kResumeSalt = 0x726573756d65ULL;  // "resume"
-constexpr int kStreamDefaultFanout = 10;  // trainer's kDefaultFanout
 
-// Sharded training must not enumerate every present cell up front (the
-// corpus alone would rival the graph in size), so when the caller has not
-// capped max_samples_per_task the engine imposes this per-column reservoir
-// bound itself.
-constexpr int64_t kDefaultShardedSamplesPerCol = 20000;
-
-// Log class priors for a categorical column's classifier head: rare values
-// start correctly downweighted, which matters most when noise fragments
-// the domain into many singletons (§4.2 noise experiment).
-std::vector<float> LogPriorBias(const Dictionary& dict) {
-  std::vector<float> bias(static_cast<size_t>(std::max(1, dict.size())),
-                          0.0f);
-  double total = 0.0;
-  for (int32_t code = 0; code < dict.size(); ++code) {
-    total += static_cast<double>(dict.CountOf(code));
+// GrimpOptions::Validate plus the engine's restrictions (engine.h): only
+// string-hash features align across tables, and Transform decodes per
+// attribute.
+Status CheckEngineOptions(const GrimpOptions& options) {
+  GRIMP_RETURN_IF_ERROR(options.Validate());
+  if (options.features != FeatureInitKind::kNgram) {
+    return Status::FailedPrecondition(
+        "GrimpEngine requires kNgram features: only deterministic "
+        "string-hash features align across tables (see engine.h)");
   }
-  if (total <= 0.0) return bias;
-  for (int32_t code = 0; code < dict.size(); ++code) {
-    const double p =
-        (static_cast<double>(dict.CountOf(code)) + 0.5) / (total + 0.5);
-    bias[static_cast<size_t>(code)] = static_cast<float>(std::log(p));
+  if (!options.multi_task) {
+    return Status::FailedPrecondition(
+        "GrimpEngine supports multi-task mode only");
   }
-  return bias;
+  return Status::OK();
 }
 
 }  // namespace
@@ -94,14 +52,15 @@ GrimpEngine::GrimpEngine(GrimpOptions options)
 }
 
 Status GrimpEngine::CheckSchema(const Table& table) const {
-  if (table.num_cols() != schema_.num_fields()) {
+  const Schema& schema = model_.schema();
+  if (table.num_cols() != schema.num_fields()) {
     return Status::FailedPrecondition(
         "column count mismatch: fitted on " +
-        std::to_string(schema_.num_fields()) + ", got " +
+        std::to_string(schema.num_fields()) + ", got " +
         std::to_string(table.num_cols()));
   }
   for (int c = 0; c < table.num_cols(); ++c) {
-    const Field& fitted = schema_.field(c);
+    const Field& fitted = schema.field(c);
     const Field& given = table.schema().field(c);
     if (fitted.name != given.name || fitted.type != given.type) {
       return Status::FailedPrecondition("schema mismatch at column " +
@@ -113,152 +72,7 @@ Status GrimpEngine::CheckSchema(const Table& table) const {
   return Status::OK();
 }
 
-
-void GrimpEngine::ConstructModel(const Tensor& column_features,
-                                 Rng* model_rng) {
-  const int num_cols = schema_.num_fields();
-  const int dim = options_.dim;
-  if (options_.use_gnn) {
-    gnn_ = HeteroGnn(num_cols, dim, dim, dim, options_.gnn_layers,
-                     model_rng);
-  }
-  shared_ = Mlp("shared", {dim, options_.shared_hidden, dim}, model_rng);
-  tasks_.clear();
-  for (int c = 0; c < num_cols; ++c) {
-    const Dictionary& dict = source_dicts_[static_cast<size_t>(c)];
-    TaskState task;
-    task.col = c;
-    task.categorical = schema_.field(c).type == AttrType::kCategorical;
-    const int out_dim = task.categorical ? std::max(1, dict.size()) : 1;
-    const std::string task_name = "task." + schema_.field(c).name;
-    if (options_.task_kind == TaskKind::kAttention) {
-      task.head = std::make_unique<AttentionTaskHead>(
-          task_name, column_features,
-          BuildKDiagonal(options_.k_strategy, c, num_cols, options_.fds),
-          dim, out_dim, model_rng, options_.task_hidden);
-    } else {
-      task.head = std::make_unique<LinearTaskHead>(
-          task_name, num_cols, dim, options_.task_hidden, out_dim,
-          model_rng);
-    }
-    if (task.categorical) {
-      task.head->SetOutputBias(LogPriorBias(dict));
-    }
-    tasks_.push_back(std::move(task));
-  }
-}
-
-void GrimpEngine::CollectParams(std::vector<Parameter*>* out) {
-  if (options_.use_gnn) gnn_.CollectParameters(out);
-  shared_.CollectParameters(out);
-  for (TaskState& task : tasks_) task.head->CollectParameters(out);
-}
-
-Status GrimpEngine::Fit(const Table& source) {
-  GRIMP_RETURN_IF_ERROR(options_.Validate());
-  if (source.num_rows() == 0 || source.num_cols() == 0) {
-    return Status::InvalidArgument("empty table");
-  }
-  if (options_.features != FeatureInitKind::kNgram) {
-    return Status::FailedPrecondition(
-        "GrimpEngine requires kNgram features: only deterministic "
-        "string-hash features align across tables (see engine.h)");
-  }
-  if (!options_.multi_task) {
-    return Status::FailedPrecondition(
-        "GrimpEngine supports multi-task mode only");
-  }
-  if (options_.graph.shard_mode == ShardMode::kSharded &&
-      options_.train.mode != TrainMode::kSampled) {
-    return Status::InvalidArgument(
-        "GraphConfig.shard_mode=sharded requires TrainConfig.mode=sampled: "
-        "full-graph epochs would page the whole graph back in, defeating "
-        "the resident-memory bound");
-  }
-  RecordThreadPoolMetrics();
-  GRIMP_TRACE_SPAN("grimp.fit");
-  const int num_cols = source.num_cols();
-  const int dim = options_.dim;
-  Rng rng(options_.seed);
-  summary_ = TrainSummary{};
-
-  schema_ = source.schema();
-  source_dicts_.clear();
-  for (int c = 0; c < num_cols; ++c) {
-    source_dicts_.push_back(source.column(c).dict());
-  }
-  normalizer_ = Normalizer::Fit(source);
-
-  Rng corpus_rng = rng.Fork();
-  const bool sharded = options_.graph.shard_mode == ShardMode::kSharded;
-  const TrainingCorpus corpus =
-      sharded ? BuildCappedTrainingCorpus(
-                    source, options_.validation_fraction,
-                    options_.max_samples_per_task > 0
-                        ? options_.max_samples_per_task
-                        : kDefaultShardedSamplesPerCol,
-                    &corpus_rng)
-              : BuildTrainingCorpus(source, options_.validation_fraction,
-                                    &corpus_rng);
-  GraphBuildOptions graph_options;
-  graph_options.max_neighbors_per_node = options_.graph.neighbor_cap;
-  graph_options.seed = options_.seed;
-  GRIMP_ASSIGN_OR_RETURN(
-      TableGraph tg,
-      GraphBuilder(graph_options).Build(source, corpus.ValidationCells()));
-  auto initializer = MakeFeatureInitializer(options_.features);
-  GRIMP_ASSIGN_OR_RETURN(PretrainedFeatures features,
-                         initializer->Init(source, tg, dim, rng.Next()));
-
-  // The store is the trainer's only view of the topology. In-memory mode
-  // borrows tg.graph (the degenerate single-shard case); sharded mode
-  // spills the CSRs to disk at Create, after which the in-core copy is
-  // dropped — from here on the full adjacency never lives in memory again.
-  GRIMP_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
-                         MakeGraphStore(tg.graph, options_.graph));
-  if (sharded) tg.graph.SetAdjacency({});
-
-  Rng model_rng = rng.Fork();
-  ConstructModel(features.column_features, &model_rng);
-
-  std::vector<TrainTask> train_tasks(static_cast<size_t>(num_cols));
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    train_tasks[t].categorical = tasks_[t].categorical;
-    train_tasks[t].head = tasks_[t].head.get();
-  }
-
-  auto add_sample = [&](const TrainingSample& s, bool is_val) {
-    TrainTask& task = train_tasks[static_cast<size_t>(s.target_col)];
-    if (!is_val && options_.max_samples_per_task > 0) {
-      if (task.NumTrain() >= options_.max_samples_per_task) return;
-    }
-    AppendRowIndices(source, tg, s.row, s.target_col, /*node_offset=*/0,
-                     is_val ? &task.val_idx : &task.train_idx);
-    const Column& col = source.column(s.target_col);
-    if (col.is_categorical()) {
-      (is_val ? task.val_labels : task.train_labels)
-          .push_back(col.CodeAt(s.row));
-    } else {
-      (is_val ? task.val_targets : task.train_targets)
-          .push_back(static_cast<float>(
-              normalizer_.Normalize(s.target_col, col.NumAt(s.row))));
-    }
-  };
-  for (const TrainingSample& s : corpus.train) add_sample(s, false);
-  for (const TrainingSample& s : corpus.validation) add_sample(s, true);
-
-  Trainer trainer(options_, store.get(), &features.node_features,
-                  options_.use_gnn ? &gnn_ : nullptr, &shared_,
-                  std::move(train_tasks), num_cols);
-  GRIMP_ASSIGN_OR_RETURN(summary_, trainer.Run(options_.callbacks));
-  fitted_ = true;
-  TensorArena::Global().PublishMetrics();
-  return Status::OK();
-}
-
-Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
-                                         const ResumeOptions& resume) {
-  if (!fitted_) return Status::FailedPrecondition("Fit() has not been run");
+Status GrimpEngine::CheckStreamContext(const StreamContext& ctx) const {
   if (ctx.table == nullptr || ctx.tg == nullptr || ctx.store == nullptr ||
       ctx.node_features == nullptr) {
     return Status::InvalidArgument(
@@ -266,15 +80,35 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
   }
   if (!options_.use_gnn) {
     return Status::FailedPrecondition(
-        "Resume fine-tunes with sampled minibatches and requires use_gnn");
+        "live-graph training and inference run sampled blocks and require "
+        "use_gnn");
   }
   GRIMP_RETURN_IF_ERROR(CheckSchema(*ctx.table));
-  const Table& live = *ctx.table;
   if (ctx.node_features->rows() != ctx.tg->graph.num_nodes() ||
       ctx.node_features->cols() != options_.dim) {
     return Status::InvalidArgument(
         "StreamContext.node_features shape does not match the live graph");
   }
+  return Status::OK();
+}
+
+Status GrimpEngine::Fit(const Table& source) {
+  GRIMP_RETURN_IF_ERROR(CheckEngineOptions(options_));
+  if (source.num_rows() == 0 || source.num_cols() == 0) {
+    return Status::InvalidArgument("empty table");
+  }
+  RecordThreadPoolMetrics();
+  GRIMP_TRACE_SPAN("grimp.fit");
+  GRIMP_RETURN_IF_ERROR(model_.Fit(options_, source, &summary_).status());
+  fitted_ = true;
+  return Status::OK();
+}
+
+Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
+                                         const ResumeOptions& resume) {
+  if (!fitted_) return Status::FailedPrecondition("Fit() has not been run");
+  GRIMP_RETURN_IF_ERROR(CheckStreamContext(ctx));
+  const Table& live = *ctx.table;
 
   GrimpOptions local = options_;
   local.train.mode = TrainMode::kSampled;
@@ -286,7 +120,7 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
   }
   GRIMP_RETURN_IF_ERROR(local.Validate());
   GRIMP_TRACE_SPAN("grimp.resume");
-  const int num_cols = schema_.num_fields();
+  const int num_cols = model_.num_cols();
 
   const int64_t n = live.num_rows();
   const int64_t window =
@@ -297,7 +131,7 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
   // Cells outside the fitted source domain are skipped: the task heads
   // were sized to the source dictionaries, so an unseen value has no
   // class to train toward (its edges still inform its neighbors).
-  Rng rng(StreamMixSeed(options_.seed ^ kResumeSalt, 0, resume.nonce));
+  Rng rng(MixSeed(options_.seed ^ kResumeSalt, 0, resume.nonce));
   std::vector<TrainingSample> selected;
   for (int64_t r = row_begin; r < n; ++r) {
     double keep = 1.0;
@@ -309,8 +143,7 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
       const Column& col = live.column(c);
       if (col.IsMissing(r)) continue;
       if (col.is_categorical() &&
-          col.CodeAt(r) >=
-              source_dicts_[static_cast<size_t>(c)].size()) {
+          col.CodeAt(r) >= model_.dicts()[static_cast<size_t>(c)].size()) {
         continue;
       }
       if (keep < 1.0 && !rng.Bernoulli(keep)) continue;
@@ -327,32 +160,12 @@ Result<TrainSummary> GrimpEngine::Resume(const StreamContext& ctx,
       static_cast<double>(selected.size()) *
       (1.0 - local.validation_fraction));
 
-  std::vector<TrainTask> train_tasks(static_cast<size_t>(num_cols));
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    train_tasks[t].categorical = tasks_[t].categorical;
-    train_tasks[t].head = tasks_[t].head.get();
-  }
-  for (size_t i = 0; i < selected.size(); ++i) {
-    const TrainingSample& s = selected[i];
-    const bool is_val = i >= split;
-    TrainTask& task = train_tasks[static_cast<size_t>(s.target_col)];
-    AppendRowIndices(live, *ctx.tg, s.row, s.target_col, /*node_offset=*/0,
-                     is_val ? &task.val_idx : &task.train_idx);
-    const Column& col = live.column(s.target_col);
-    if (col.is_categorical()) {
-      (is_val ? task.val_labels : task.train_labels)
-          .push_back(col.CodeAt(s.row));
-    } else {
-      (is_val ? task.val_targets : task.train_targets)
-          .push_back(static_cast<float>(
-              normalizer_.Normalize(s.target_col, col.NumAt(s.row))));
-    }
-  }
-
-  Trainer trainer(local, ctx.store, ctx.node_features, &gnn_, &shared_,
-                  std::move(train_tasks), num_cols);
+  const std::span<const TrainingSample> samples(selected);
+  Trainer trainer(local, ctx.store, ctx.node_features, &model_,
+                  model_.MakeTrainTasks(live, *ctx.tg, samples.first(split),
+                                        samples.subspan(split),
+                                        /*max_train_per_task=*/0));
   GRIMP_ASSIGN_OR_RETURN(summary_, trainer.Run(local.callbacks));
-  TensorArena::Global().PublishMetrics();
   return summary_;
 }
 
@@ -360,6 +173,17 @@ namespace {
 constexpr uint64_t kModelMagic = 0x4752494d504d444cULL;  // "GRIMPMDL"
 // v2: trailing FNV-1a checksum footer over the whole payload.
 constexpr uint32_t kModelVersion = 2;
+
+// Reads an enum stored as int32, rejecting values outside [0, last].
+template <typename E>
+Result<E> ReadEnum(BinaryReader* reader, E last, const char* what) {
+  GRIMP_ASSIGN_OR_RETURN(int32_t value, reader->ReadI32());
+  if (value < 0 || value > static_cast<int32_t>(last)) {
+    return Status::InvalidArgument(std::string("corrupt ") + what + ": " +
+                                   std::to_string(value));
+  }
+  return static_cast<E>(value);
+}
 }  // namespace
 
 
@@ -370,7 +194,6 @@ Result<Tensor> GrimpEngine::AttentionSummary(const Table& table) const {
   }
   GRIMP_RETURN_IF_ERROR(CheckSchema(table));
   const int num_cols = table.num_cols();
-  const int dim = options_.dim;
 
   GraphBuildOptions graph_options;
   graph_options.max_neighbors_per_node = options_.graph.neighbor_cap;
@@ -381,36 +204,33 @@ Result<Tensor> GrimpEngine::AttentionSummary(const Table& table) const {
   Rng rng(options_.seed);
   rng.Fork();
   GRIMP_ASSIGN_OR_RETURN(PretrainedFeatures features,
-                         initializer->Init(table, tg, dim, rng.Next()));
+                         initializer->Init(table, tg, options_.dim,
+                                           rng.Next()));
 
   Tape tape;
-  Tape::VarId feats = tape.Constant(features.node_features);
-  Tape::VarId h =
-      options_.use_gnn ? gnn_.Forward(&tape, feats, tg.graph) : feats;
-  Tape::VarId h_shared = shared_.Forward(&tape, h);
-
+  Tape::VarId h_shared = model_.Encode(
+      &tape, tape.Constant(std::move(features.node_features)), tg.graph);
   Tensor summary(num_cols, num_cols);
-  for (const TaskState& task : tasks_) {
-    auto* attention_head =
-        dynamic_cast<const AttentionTaskHead*>(task.head.get());
-    if (attention_head == nullptr) continue;
-    std::vector<int32_t> idx;
-    int64_t n = 0;
-    for (int64_t r = 0; r < table.num_rows(); ++r) {
-      if (!table.IsMissing(r, task.col)) continue;
-      AppendRowIndices(table, tg, r, task.col, /*node_offset=*/0, &idx);
-      ++n;
-    }
-    if (n == 0) continue;
-    Tape::VarId flat = tape.GatherRows(h_shared, idx);
+  std::vector<int32_t> idx;
+  std::vector<GrimpModel::Cell> cells;
+  for (size_t t = 0; t < model_.num_tasks(); ++t) {
+    const int col = model_.task_col(t);
+    idx.clear();
+    cells.clear();
+    model_.AppendImputeCells(t, table, tg, 0, table.num_rows(), 0, 0, &idx,
+                             &cells);
+    if (cells.empty()) continue;
     Tensor att;
-    (void)attention_head->ForwardWithAttention(
-        &tape, tape.Reshape(flat, n, static_cast<int64_t>(num_cols) * dim),
-        &att);
+    (void)dynamic_cast<const AttentionTaskHead&>(model_.head(t))
+        .ForwardWithAttention(
+            &tape,
+            tape.Reshape(tape.GatherRows(h_shared, idx),
+                         static_cast<int64_t>(cells.size()),
+                         static_cast<int64_t>(num_cols) * options_.dim),
+            &att);
     for (int64_t r = 0; r < att.rows(); ++r) {
       for (int c = 0; c < num_cols; ++c) {
-        summary.at(task.col, c) +=
-            att.at(r, c) / static_cast<float>(att.rows());
+        summary.at(col, c) += att.at(r, c) / static_cast<float>(att.rows());
       }
     }
   }
@@ -443,21 +263,21 @@ Status GrimpEngine::Save(const std::string& path) {
   }
 
   // Source schema, domains and normalizer.
-  writer.WriteU64(static_cast<uint64_t>(schema_.num_fields()));
-  for (const Field& field : schema_.fields()) {
+  writer.WriteU64(static_cast<uint64_t>(model_.num_cols()));
+  for (const Field& field : model_.schema().fields()) {
     writer.WriteString(field.name);
     writer.WriteI32(static_cast<int32_t>(field.type));
   }
-  for (const Dictionary& dict : source_dicts_) {
+  for (const Dictionary& dict : model_.dicts()) {
     writer.WriteStringVector(dict.values());
     writer.WriteI64Vector(dict.counts());
   }
-  writer.WriteF64Vector(normalizer_.means());
-  writer.WriteF64Vector(normalizer_.stds());
+  writer.WriteF64Vector(model_.normalizer().means());
+  writer.WriteF64Vector(model_.normalizer().stds());
 
   // Trained weights, in CollectParams order.
   std::vector<Parameter*> params;
-  CollectParams(&params);
+  model_.CollectParams(&params);
   writer.WriteU64(params.size());
   for (const Parameter* p : params) {
     writer.WriteString(p->name);
@@ -492,13 +312,19 @@ Result<std::unique_ptr<GrimpEngine>> GrimpEngine::Load(
   // whole-file pass here is the only integrity check.
   GRIMP_RETURN_IF_ERROR(VerifyTrailingChecksum(path));
 
+  // A checksum-valid file can still carry fields no Fit writes: every
+  // enum is range-checked and every size validated before it shapes a
+  // tensor, so such files fail with InvalidArgument instead of crashing.
   GrimpOptions options;
-  GRIMP_ASSIGN_OR_RETURN(int32_t features, reader.ReadI32());
-  options.features = static_cast<FeatureInitKind>(features);
-  GRIMP_ASSIGN_OR_RETURN(int32_t task_kind, reader.ReadI32());
-  options.task_kind = static_cast<TaskKind>(task_kind);
-  GRIMP_ASSIGN_OR_RETURN(int32_t k_strategy, reader.ReadI32());
-  options.k_strategy = static_cast<KStrategy>(k_strategy);
+  GRIMP_ASSIGN_OR_RETURN(options.features,
+                         ReadEnum(&reader, FeatureInitKind::kEmbdi,
+                                  "feature kind"));
+  GRIMP_ASSIGN_OR_RETURN(options.task_kind,
+                         ReadEnum(&reader, TaskKind::kAttention,
+                                  "task kind"));
+  GRIMP_ASSIGN_OR_RETURN(options.k_strategy,
+                         ReadEnum(&reader, KStrategy::kWeakDiagonalFd,
+                                  "K strategy"));
   GRIMP_ASSIGN_OR_RETURN(options.dim, reader.ReadI32());
   GRIMP_ASSIGN_OR_RETURN(options.shared_hidden, reader.ReadI32());
   GRIMP_ASSIGN_OR_RETURN(options.task_hidden, reader.ReadI32());
@@ -523,21 +349,50 @@ Result<std::unique_ptr<GrimpEngine>> GrimpEngine::Load(
     GRIMP_ASSIGN_OR_RETURN(fd.rhs, reader.ReadI32());
     options.fds.push_back(std::move(fd));
   }
+  if (Status valid = CheckEngineOptions(options); !valid.ok()) {
+    return Status::InvalidArgument("corrupt model options in " + path +
+                                   ": " + valid.message());
+  }
 
-  auto engine = std::make_unique<GrimpEngine>(options);
   GRIMP_ASSIGN_OR_RETURN(uint64_t num_fields, reader.ReadU64());
   if (num_fields == 0 || num_fields > 4096) {
     return Status::InvalidArgument("corrupt field count");
+  }
+  const auto is_field = [&](int col) {
+    return col >= 0 && static_cast<uint64_t>(col) < num_fields;
+  };
+  for (const FunctionalDependency& fd : options.fds) {
+    if (!is_field(fd.rhs) || !std::all_of(fd.lhs.begin(), fd.lhs.end(),
+                                          is_field)) {
+      return Status::InvalidArgument("corrupt FD: column out of range");
+    }
+  }
+  // Every weight is stored in the file, so an architecture with more
+  // floats than the file has bytes is corrupt. The bound counts the shared
+  // MLP, one dim x dim matrix per GNN layer and one dim x task_hidden layer
+  // per head — far below the real size, but enough to refuse dimensions
+  // that would exhaust memory in Build.
+  const double min_floats =
+      2.0 * options.dim * options.shared_hidden +
+      (options.use_gnn ? 1.0 * options.gnn_layers * options.dim * options.dim
+                       : 0.0) +
+      1.0 * static_cast<double>(num_fields) * options.dim *
+          options.task_hidden;
+  std::error_code size_error;
+  const uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
+  if (size_error || 4.0 * min_floats > static_cast<double>(file_bytes)) {
+    return Status::InvalidArgument(
+        "corrupt model dimensions: the weights cannot fit in " + path);
   }
   std::vector<Field> fields;
   for (uint64_t c = 0; c < num_fields; ++c) {
     Field field;
     GRIMP_ASSIGN_OR_RETURN(field.name, reader.ReadString());
-    GRIMP_ASSIGN_OR_RETURN(int32_t type, reader.ReadI32());
-    field.type = static_cast<AttrType>(type);
+    GRIMP_ASSIGN_OR_RETURN(field.type, ReadEnum(&reader, AttrType::kNumerical,
+                                                "attribute type"));
     fields.push_back(std::move(field));
   }
-  engine->schema_ = Schema(std::move(fields));
+  std::vector<Dictionary> dicts;
   for (uint64_t c = 0; c < num_fields; ++c) {
     GRIMP_ASSIGN_OR_RETURN(auto values, reader.ReadStringVector());
     GRIMP_ASSIGN_OR_RETURN(auto counts, reader.ReadI64Vector());
@@ -549,23 +404,25 @@ Result<std::unique_ptr<GrimpEngine>> GrimpEngine::Load(
       const int32_t code = dict.GetOrAdd(values[i]);
       dict.AddOccurrence(code, counts[i]);
     }
-    engine->source_dicts_.push_back(std::move(dict));
+    dicts.push_back(std::move(dict));
   }
   GRIMP_ASSIGN_OR_RETURN(auto means, reader.ReadF64Vector());
   GRIMP_ASSIGN_OR_RETURN(auto stds, reader.ReadF64Vector());
   if (means.size() != num_fields || stds.size() != num_fields) {
     return Status::InvalidArgument("corrupt normalizer");
   }
-  engine->normalizer_ =
-      Normalizer::FromMoments(std::move(means), std::move(stds));
 
-  // Rebuild the architecture, then overwrite every weight.
+  // Rebuild the architecture (zero Q seeds: the stored weights overwrite
+  // them), then overwrite every weight.
+  auto engine = std::make_unique<GrimpEngine>(options);
   Rng model_rng(options.seed);
-  engine->ConstructModel(
+  engine->model_.Build(
+      options, Schema(std::move(fields)), std::move(dicts),
+      Normalizer::FromMoments(std::move(means), std::move(stds)),
       Tensor::Zeros(static_cast<int64_t>(num_fields), options.dim),
       &model_rng);
   std::vector<Parameter*> params;
-  engine->CollectParams(&params);
+  engine->model_.CollectParams(&params);
   GRIMP_ASSIGN_OR_RETURN(uint64_t num_params, reader.ReadU64());
   if (num_params != params.size()) {
     return Status::InvalidArgument(
@@ -596,32 +453,15 @@ Status GrimpEngine::CheckCompatible(const Table& table) const {
 
 Result<Table> GrimpEngine::Transform(const Table& table) const {
   GRIMP_TRACE_SPAN("grimp.transform");
-  GRIMP_ASSIGN_OR_RETURN(std::vector<Table> out, TransformBatch({&table}));
-  return std::move(out[0]);
-}
-
-Result<std::vector<Table>> GrimpEngine::TransformBatch(
-    const std::vector<const Table*>& tables) const {
-  if (!fitted_) return Status::FailedPrecondition("Fit() has not been run");
-  if (tables.empty()) return std::vector<Table>{};
-  for (const Table* t : tables) {
-    if (t == nullptr) return Status::InvalidArgument("null table in batch");
-    GRIMP_RETURN_IF_ERROR(CheckSchema(*t));
-  }
-  std::vector<Table> imputed;
-  imputed.reserve(tables.size());
-  for (const Table* t : tables) imputed.push_back(*t);
-  std::vector<Table*> ptrs;
-  ptrs.reserve(imputed.size());
-  for (Table& t : imputed) ptrs.push_back(&t);
-  GRIMP_RETURN_IF_ERROR(
-      TransformMany(std::span<Table* const>(ptrs.data(), ptrs.size())));
+  Table imputed = table;
+  Table* ptr = &imputed;
+  GRIMP_RETURN_IF_ERROR(TransformMany(std::span<Table* const>(&ptr, 1)));
   return imputed;
 }
 
 namespace {
 
-// Per-thread reusable state for TransformBatchInPlace. Every container
+// Per-thread reusable state for batch-mode TransformMany. Every container
 // here is cleared — never shrunk — between requests, so once a serving
 // thread has seen its largest batch the whole inference pass stops
 // touching the allocator (the tensors themselves recycle through the
@@ -645,21 +485,11 @@ struct TransformScratch {
   // Per-task gather indices; the tape borrows these (see GatherRows), so
   // each task needs its own vector that stays alive until the next Reset.
   std::vector<std::vector<int32_t>> task_idx;
-  std::vector<std::pair<size_t, int64_t>> rows;  // (request, row)
-
+  std::vector<GrimpModel::Cell> cells;
   // Deferred cell writes: every model read (CodeAt/IsMissing during index
-  // building) happens before any table is mutated, which keeps the
-  // in-place pass bit-identical to the copy path and leaves the inputs
+  // building) happens before any table is mutated, which leaves the inputs
   // untouched if anything fails first.
-  struct Decision {
-    size_t request;
-    int64_t row;
-    int col;
-    bool categorical;
-    int32_t code;  // categorical: source-dictionary code to decode
-    double value;  // numerical: denormalized prediction
-  };
-  std::vector<Decision> decisions;
+  std::vector<GrimpModel::Decision> decisions;
 };
 
 }  // namespace
@@ -684,7 +514,7 @@ Status GrimpEngine::TransformMany(std::span<Table* const> tables,
     GRIMP_RETURN_IF_ERROR(CheckSchema(*t));
   }
   GRIMP_TRACE_SPAN("grimp.transform_batch");
-  const int num_cols = schema_.num_fields();
+  const int num_cols = model_.num_cols();
   const int dim = options_.dim;
 
   const bool reuse = TensorArena::Global().enabled();
@@ -768,95 +598,33 @@ Status GrimpEngine::TransformMany(std::span<Table* const> tables,
   s.union_graph.SetAdjacency(std::move(union_adj));
 
   Tape& tape = s.tape;
-  Tape::VarId feats = tape.Constant(std::move(union_feats));
-  Tape::VarId h = options_.use_gnn
-                      ? gnn_.Forward(&tape, feats, s.union_graph, &s.gnn)
-                      : feats;
-  Tape::VarId h_shared = shared_.Forward(&tape, h);
-
-  if (s.task_idx.size() < tasks_.size()) s.task_idx.resize(tasks_.size());
+  Tape::VarId h_shared = model_.Encode(
+      &tape, tape.Constant(std::move(union_feats)), s.union_graph, &s.gnn);
+  if (s.task_idx.size() < model_.num_tasks()) {
+    s.task_idx.resize(model_.num_tasks());
+  }
   s.decisions.clear();
-  size_t task_ordinal = 0;
-  for (const TaskState& task : tasks_) {
-    std::vector<int32_t>& idx = s.task_idx[task_ordinal++];
+  for (size_t t = 0; t < model_.num_tasks(); ++t) {
+    std::vector<int32_t>& idx = s.task_idx[t];
     idx.clear();
-    std::vector<std::pair<size_t, int64_t>>& rows = s.rows;
-    rows.clear();
+    s.cells.clear();
     for (size_t i = 0; i < tables.size(); ++i) {
-      const Table& table = *tables[i];
-      for (int64_t r = 0; r < table.num_rows(); ++r) {
-        if (!table.IsMissing(r, task.col)) continue;
-        AppendRowIndices(table, s.requests[i].tg, r, task.col,
-                         s.requests[i].offset, &idx);
-        rows.emplace_back(i, r);
-      }
+      model_.AppendImputeCells(t, *tables[i], s.requests[i].tg, 0,
+                               tables[i]->num_rows(), s.requests[i].offset,
+                               static_cast<uint32_t>(i), &idx, &s.cells);
     }
-    if (rows.empty()) continue;
-    Tape::VarId flat = tape.GatherRows(h_shared, &idx);
-    Tape::VarId out = task.head->Forward(
-        &tape, tape.Reshape(flat, static_cast<int64_t>(rows.size()),
-                            static_cast<int64_t>(num_cols) * dim));
-    const Tensor& scores = tape.value(out);
-    const Dictionary& dict = source_dicts_[static_cast<size_t>(task.col)];
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const size_t req = rows[i].first;
-      const int64_t row = rows[i].second;
-      if (task.categorical) {
-        // Argmax over the *source* domain; decode to the value string.
-        int32_t best = -1;
-        float best_score = 0.0f;
-        for (int32_t code = 0; code < dict.size(); ++code) {
-          if (dict.CountOf(code) <= 0) continue;
-          const float sc = scores.at(static_cast<int64_t>(i), code);
-          if (best < 0 || sc > best_score) {
-            best = code;
-            best_score = sc;
-          }
-        }
-        if (best >= 0) {
-          s.decisions.push_back({req, row, task.col, true, best, 0.0});
-        }
-      } else {
-        s.decisions.push_back(
-            {req, row, task.col, false, -1,
-             normalizer_.Denormalize(task.col,
-                                     scores.at(static_cast<int64_t>(i), 0))});
-      }
-    }
+    model_.Decide(&tape, h_shared, t, &idx, s.cells, &s.decisions);
   }
-
   // All reads are done; apply the writes.
-  for (const TransformScratch::Decision& d : s.decisions) {
-    Column& dst = tables[d.request]->mutable_column(d.col);
-    if (d.categorical) {
-      const Dictionary& dict = source_dicts_[static_cast<size_t>(d.col)];
-      dst.SetCategorical(d.row, dict.ValueOf(d.code));
-    } else {
-      dst.SetNumerical(d.row, d.value);
-    }
-  }
+  model_.Apply(s.decisions, tables);
   TensorArena::Global().PublishMetrics();
   return Status::OK();
 }
 
-Status GrimpEngine::TransformBatchInPlace(
-    const std::vector<Table*>& tables) const {
-  return TransformMany(std::span<Table* const>(tables.data(), tables.size()));
-}
-
 Status GrimpEngine::TransformStream(Table* window,
                                     const StreamContext& ctx) const {
-  if (ctx.table == nullptr || ctx.tg == nullptr || ctx.store == nullptr ||
-      ctx.node_features == nullptr) {
-    return Status::InvalidArgument(
-        "StreamContext.table/tg/store/node_features must all be set");
-  }
-  if (!options_.use_gnn) {
-    return Status::FailedPrecondition(
-        "streaming inference runs sampled blocks and requires use_gnn");
-  }
+  GRIMP_RETURN_IF_ERROR(CheckStreamContext(ctx));
   GRIMP_RETURN_IF_ERROR(CheckSchema(*window));
-  GRIMP_RETURN_IF_ERROR(CheckSchema(*ctx.table));
   const Table& live = *ctx.table;
   const int64_t w = window->num_rows();
   if (ctx.row_begin < 0 || ctx.row_begin + w > live.num_rows()) {
@@ -865,142 +633,63 @@ Status GrimpEngine::TransformStream(Table* window,
         std::to_string(ctx.row_begin + w) + ") outside the live table (" +
         std::to_string(live.num_rows()) + " rows)");
   }
-  if (ctx.node_features->rows() != ctx.tg->graph.num_nodes() ||
-      ctx.node_features->cols() != options_.dim) {
-    return Status::InvalidArgument(
-        "StreamContext.node_features shape does not match the live graph");
-  }
   GRIMP_TRACE_SPAN("grimp.transform_stream");
-  const int num_cols = schema_.num_fields();
-  const int dim = options_.dim;
-
-  std::vector<int> fanouts =
-      ctx.fanouts.empty() ? options_.train.fanouts : ctx.fanouts;
-  if (fanouts.empty()) {
-    fanouts.assign(static_cast<size_t>(gnn_.num_layers()),
-                   kStreamDefaultFanout);
-  }
+  const size_t num_tasks = model_.num_tasks();
 
   // One pipeline batch per task, prepared (window scan, sampling — which
   // prefetches/pins shards — and feature gather) up to `depth` tasks ahead
   // of the forward the consumer is running. Batch ids are task positions,
-  // and each task's sampling stream is keyed on (seed, task, nonce), so
-  // imputations are bit-identical at every depth — and identical to the
-  // pre-pipeline serial loop. A window with nothing to impute for a task
-  // still occupies its pipeline position with bn == 0.
+  // and each task's sampling stream is keyed on (seed, task, nonce) —
+  // never on graph state or thread count — so imputations are
+  // bit-identical at every depth, and incremental and rebuilt live graphs
+  // impute identically. A window with nothing to impute for a task still
+  // occupies its pipeline position with bn == 0. Batch b's cells land in
+  // task_cells[b], written only by the producer preparing b and read by
+  // the consumer after Next() hands b over.
+  std::vector<std::vector<GrimpModel::Cell>> task_cells(num_tasks);
   BatchPipeline pipeline(
       BatchPipeline::ResolveDepth(options_.train.pipeline_depth), ctx.store,
-      std::move(fanouts));
+      model_.Fanouts(ctx.fanouts.empty() ? options_.train.fanouts
+                                         : ctx.fanouts));
   const auto prepare = [&](int64_t b, PreparedBatch* out,
                            const PipelineScratch& scratch) {
-    const TaskState& task = tasks_[static_cast<size_t>(b)];
+    std::vector<GrimpModel::Cell>& cells =
+        task_cells[static_cast<size_t>(b)];
     out->bn = 0;
-    // local_idx first holds the *global* gather node ids (the serial
-    // loop's `idx`), remapped to block-local ids in place after sampling.
     out->local_idx.clear();
-    out->rows.clear();
-    for (int64_t r = 0; r < w; ++r) {
-      const int64_t live_row = ctx.row_begin + r;
-      if (!live.IsMissing(live_row, task.col)) continue;
-      AppendRowIndices(live, *ctx.tg, live_row, task.col, /*node_offset=*/0,
-                       &out->local_idx);
-      out->rows.push_back(r);
-    }
-    if (out->rows.empty()) return;
+    model_.AppendImputeCells(static_cast<size_t>(b), live, *ctx.tg,
+                             ctx.row_begin, ctx.row_begin + w, 0, 0,
+                             &out->local_idx, &cells);
+    if (cells.empty()) return;
 
-    // Seeds: the distinct gathered cell nodes, in first-seen order (fixes
-    // the block's local ids, like the trainer's sampled path).
-    std::vector<int32_t>& seed_local = *scratch.seed_local;
-    out->seeds.clear();
-    for (const int32_t node : out->local_idx) {
-      if (node < 0) continue;
-      int32_t& slot = seed_local[static_cast<size_t>(node)];
-      if (slot < 0) {
-        slot = static_cast<int32_t>(out->seeds.size());
-        out->seeds.push_back(node);
-      }
-    }
-    if (out->seeds.empty()) out->seeds.push_back(0);  // fully-masked rows
-    Rng rng(StreamMixSeed(options_.seed ^ kStreamSalt,
-                          static_cast<uint64_t>(b), ctx.nonce));
-    scratch.sampler->Sample(out->seeds, &rng, &out->sub);
-
-    out->feats = GatherFeatureRows(*ctx.node_features, out->sub.input_nodes);
-    for (int32_t& node : out->local_idx) {
-      node = node < 0 ? -1 : seed_local[static_cast<size_t>(node)];
-    }
-    for (const int32_t node : out->seeds) {
-      seed_local[static_cast<size_t>(node)] = -1;
-    }
-    out->bn = static_cast<int64_t>(out->rows.size());
+    Rng rng(MixSeed(options_.seed ^ kStreamSalt, static_cast<uint64_t>(b),
+                    ctx.nonce));
+    SampleBatchSeeds(&rng, scratch, out);
+    GatherBatchInputs(*ctx.node_features, scratch, out);
+    out->bn = static_cast<int64_t>(cells.size());
   };
-
-  Tape tape;
 
   // Deferred writes, exactly like batch mode: every live-table read happens
   // before the window is mutated (preparation reads the live table too, so
   // the pipeline must fully drain before the writes below).
-  struct Decision {
-    int64_t row;  // window-local
-    int col;
-    bool categorical;
-    int32_t code;
-    double value;
-  };
-  std::vector<Decision> decisions;
-
-  pipeline.Begin(static_cast<int64_t>(tasks_.size()), prepare);
-  for (const TaskState& task : tasks_) {
+  Tape tape;
+  std::vector<GrimpModel::Decision> decisions;
+  pipeline.Begin(static_cast<int64_t>(num_tasks), prepare);
+  for (size_t t = 0; t < num_tasks; ++t) {
     // Reset first: the previous task's tape closures borrow the pipeline
     // slot's adjacency and gather-index storage, and Next() releases that
     // slot for recycling.
     tape.Reset();
     PreparedBatch& batch = pipeline.Next();
     if (batch.bn == 0) continue;
-
-    Tape::VarId feats = tape.Constant(std::move(batch.feats));
-    Tape::VarId h = gnn_.ForwardBlocks(&tape, feats, batch.sub);
-    Tape::VarId h_shared = shared_.Forward(&tape, h);
-    Tape::VarId flat = tape.GatherRows(h_shared, &batch.local_idx);
-    Tape::VarId out = task.head->Forward(
-        &tape, tape.Reshape(flat, batch.bn,
-                            static_cast<int64_t>(num_cols) * dim));
-    const Tensor& scores = tape.value(out);
-    const Dictionary& dict = source_dicts_[static_cast<size_t>(task.col)];
-    for (size_t i = 0; i < batch.rows.size(); ++i) {
-      if (task.categorical) {
-        int32_t best = -1;
-        float best_score = 0.0f;
-        for (int32_t code = 0; code < dict.size(); ++code) {
-          if (dict.CountOf(code) <= 0) continue;
-          const float sc = scores.at(static_cast<int64_t>(i), code);
-          if (best < 0 || sc > best_score) {
-            best = code;
-            best_score = sc;
-          }
-        }
-        if (best >= 0) {
-          decisions.push_back({batch.rows[i], task.col, true, best, 0.0});
-        }
-      } else {
-        decisions.push_back(
-            {batch.rows[i], task.col, false, -1,
-             normalizer_.Denormalize(task.col,
-                                     scores.at(static_cast<int64_t>(i), 0))});
-      }
-    }
+    Tape::VarId h_shared = model_.EncodeBlocks(
+        &tape, tape.Constant(std::move(batch.feats)), batch.sub);
+    model_.Decide(&tape, h_shared, t, &batch.local_idx, task_cells[t],
+                  &decisions);
   }
   pipeline.End();
 
-  for (const Decision& d : decisions) {
-    Column& dst = window->mutable_column(d.col);
-    if (d.categorical) {
-      const Dictionary& dict = source_dicts_[static_cast<size_t>(d.col)];
-      dst.SetCategorical(d.row, dict.ValueOf(d.code));
-    } else {
-      dst.SetNumerical(d.row, d.value);
-    }
-  }
+  model_.Apply(decisions, std::span<Table* const>(&window, 1));
   TensorArena::Global().PublishMetrics();
   return Status::OK();
 }

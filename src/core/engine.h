@@ -6,14 +6,10 @@
 #include <vector>
 
 #include "core/grimp.h"
-#include "core/tasks.h"
+#include "core/model.h"
 #include "core/trainer.h"
-#include "gnn/hetero_sage.h"
 #include "graph/builder.h"
 #include "graph/store.h"
-#include "table/dictionary.h"
-#include "table/normalizer.h"
-#include "tensor/nn.h"
 
 namespace grimp {
 
@@ -112,8 +108,7 @@ class GrimpEngine {
                               const ResumeOptions& resume);
 
   // The one inference entry point: imputes every missing cell of every
-  // table in place. All other Transform* methods are thin wrappers over
-  // this.
+  // table in place. Transform is a copying wrapper over it.
   //
   // Batch mode (options.stream == nullptr): each table gets the graph and
   // deterministic n-gram features a solo run would build, the per-table
@@ -147,14 +142,6 @@ class GrimpEngine {
   // Copying wrapper over TransformMany: imputes a copy of `table`.
   Result<Table> Transform(const Table& table) const;
 
-  // Copying wrapper over TransformMany: imputes a copy of every table.
-  Result<std::vector<Table>> TransformBatch(
-      const std::vector<const Table*>& tables) const;
-
-  // Compatibility alias for TransformMany(tables, {}); prefer the spanned
-  // form in new code.
-  Status TransformBatchInPlace(const std::vector<Table*>& tables) const;
-
   // Admission check for serving: OK iff the engine is fitted and `table`
   // matches the fitted schema. Never touches mutable state.
   Status CheckCompatible(const Table& table) const;
@@ -180,37 +167,23 @@ class GrimpEngine {
   const GrimpOptions& options() const { return options_; }
   // Source schema captured at Fit time (empty before Fit/Load). The
   // serving layer uses it to build request rows by column name.
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const { return model_.schema(); }
 
  private:
-  struct TaskState {
-    int col = -1;
-    bool categorical = true;
-    std::unique_ptr<TaskHead> head;
-  };
-
   Status CheckSchema(const Table& table) const;
+  // Preconditions shared by Resume and streaming TransformMany: a complete
+  // context whose table matches the fitted schema and whose features align
+  // with its graph, plus a GNN to sample blocks for.
+  Status CheckStreamContext(const StreamContext& ctx) const;
   // Streaming-mode body of TransformMany.
   Status TransformStream(Table* window, const StreamContext& ctx) const;
-  // Builds gnn_/shared_/tasks_ from schema_, source_dicts_ and options_.
-  // `column_features` seeds the attention Q matrices (zeros when loading:
-  // the stored weights overwrite them).
-  void ConstructModel(const Tensor& column_features, Rng* model_rng);
-  void CollectParams(std::vector<Parameter*>* out);
 
   GrimpOptions options_;
   TrainSummary summary_;
   bool fitted_ = false;
-
-  // Source-table context captured at Fit time.
-  Schema schema_;
-  std::vector<Dictionary> source_dicts_;
-  Normalizer normalizer_;
-
-  // Trained components.
-  HeteroGnn gnn_;
-  Mlp shared_;
-  std::vector<TaskState> tasks_;
+  // The trained model with the source schema, domains and normalizer
+  // captured at Fit (or Load) time.
+  GrimpModel model_;
 };
 
 }  // namespace grimp

@@ -199,10 +199,28 @@ void BatchPipeline::End() {
   for (Slot& slot : slots_) slot.ready_batch = -1;
 }
 
-Tensor GatherFeatureRows(const Tensor& features,
-                         const std::vector<int32_t>& nodes) {
+void SampleBatchSeeds(Rng* rng, const PipelineScratch& scratch,
+                      PreparedBatch* out) {
+  std::vector<int32_t>& seed_local = *scratch.seed_local;
+  out->seeds.clear();
+  for (const int32_t node : out->local_idx) {
+    if (node < 0) continue;
+    int32_t& slot = seed_local[static_cast<size_t>(node)];
+    if (slot < 0) {
+      slot = static_cast<int32_t>(out->seeds.size());
+      out->seeds.push_back(node);
+    }
+  }
+  if (out->seeds.empty()) out->seeds.push_back(0);
+  scratch.sampler->Sample(out->seeds, rng, &out->sub);
+}
+
+void GatherBatchInputs(const Tensor& features, const PipelineScratch& scratch,
+                       PreparedBatch* out) {
+  const std::vector<int32_t>& nodes = out->sub.input_nodes;
   const int64_t dim = features.cols();
-  Tensor out = Tensor::Uninit(static_cast<int64_t>(nodes.size()), dim);
+  out->feats = Tensor::Uninit(static_cast<int64_t>(nodes.size()), dim);
+  float* dst = out->feats.data();
   ParallelFor(0, static_cast<int64_t>(nodes.size()), 512,
               [&](int64_t lo, int64_t hi) {
                 for (int64_t i = lo; i < hi; ++i) {
@@ -210,10 +228,17 @@ Tensor GatherFeatureRows(const Tensor& features,
                       features.data() +
                       static_cast<int64_t>(nodes[static_cast<size_t>(i)]) *
                           dim;
-                  std::copy(src, src + dim, out.data() + i * dim);
+                  std::copy(src, src + dim, dst + i * dim);
                 }
               });
-  return out;
+  std::vector<int32_t>& seed_local = *scratch.seed_local;
+  for (int32_t& node : out->local_idx) {
+    node = node < 0 ? -1 : seed_local[static_cast<size_t>(node)];
+  }
+  // (The dummy-seed case clears node 0's slot, which was already -1.)
+  for (const int32_t node : out->seeds) {
+    seed_local[static_cast<size_t>(node)] = -1;
+  }
 }
 
 }  // namespace grimp

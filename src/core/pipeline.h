@@ -35,8 +35,6 @@ struct PreparedBatch {
   // two is filled, matching the task's kind).
   std::vector<int32_t> labels;
   std::vector<float> targets;
-  // Streaming inference only: window-local row id per batch sample.
-  std::vector<int64_t> rows;
   // Samples in this batch. 0 marks a batch the consumer should skip
   // (streaming windows with nothing to impute still occupy a pipeline
   // position so batch ids stay aligned with task order).
@@ -175,12 +173,23 @@ class BatchPipeline {
   bool stop_ = false;
 };
 
-// Gathers rows `nodes` of `features` into a fresh arena-backed
-// |nodes| x features.cols() matrix, chunked on the global pool (grain 512;
-// rows are disjoint, so results are bit-identical at every thread count —
-// and on pipeline producer threads the chunks run inline).
-Tensor GatherFeatureRows(const Tensor& features,
-                         const std::vector<int32_t>& nodes);
+// The sampled forward of one batch, in two steps shared by training and
+// streaming inference. SampleBatchSeeds takes the gather rows in
+// out->local_idx (global node ids, -1 == masked cell) and samples their
+// receptive field into out->sub with *rng. Seeds are the distinct nodes in
+// first-seen order (the sampler requires distinct seeds; the order fixes
+// the block's local ids); a batch whose cells are all masked gets the
+// dummy seed 0 so the forward still type-checks. GatherBatchInputs then
+// gathers the field's input features from `features` into a fresh
+// arena-backed out->feats (chunked on the global pool; rows are disjoint,
+// so results are bit-identical at every thread count — and on pipeline
+// producer threads the chunks run inline), rewrites local_idx to
+// block-local ids, and restores the scratch's seed remap to all -1 for its
+// next batch.
+void SampleBatchSeeds(Rng* rng, const PipelineScratch& scratch,
+                      PreparedBatch* out);
+void GatherBatchInputs(const Tensor& features, const PipelineScratch& scratch,
+                       PreparedBatch* out);
 
 }  // namespace grimp
 

@@ -6,25 +6,20 @@
 
 #include "core/options.h"
 #include "core/pipeline.h"
-#include "core/tasks.h"
-#include "gnn/hetero_sage.h"
-#include "graph/hetero_graph.h"
-#include "graph/sampler.h"
 #include "graph/store.h"
 #include "tensor/nn.h"
 
 namespace grimp {
 
 class Adam;
+class GrimpModel;
 
-// One imputation task's training inputs, precomputed by the caller before
-// the epoch loop starts: gather indices into the shared representation
-// (|samples| * num_cols node ids, -1 == masked cell) plus, depending on
-// `categorical`, class labels or normalized regression targets. The head
-// is borrowed and must outlive the Trainer.
+// One model task's training inputs, precomputed before the epoch loop
+// starts: gather indices into the shared representation (|samples| *
+// num_cols node ids, -1 == masked cell) plus, depending on `categorical`,
+// class labels or normalized regression targets.
 struct TrainTask {
   bool categorical = true;
-  TaskHead* head = nullptr;
 
   std::vector<int32_t> train_idx;
   std::vector<int32_t> train_labels;
@@ -58,7 +53,7 @@ struct TrainSummary {
   int64_t num_val_samples = 0;
 };
 
-// The epoch machinery shared by GrimpImputer::Impute and GrimpEngine::Fit
+// The epoch machinery behind GrimpModel::Fit and GrimpEngine::Resume
 // (paper Alg. 1): Adam over the GNN + shared MLP + task heads, summed task
 // losses, early stopping on the summed validation loss, best-weights
 // restore, per-epoch metrics series and callbacks.
@@ -92,13 +87,13 @@ struct TrainSummary {
 // state for the duration of Run().
 class Trainer {
  public:
-  // `gnn` may be null iff options.use_gnn is false. `node_features` is the
-  // num_nodes x dim pre-trained feature matrix; `num_cols` the number of
-  // gather blocks per training vector. `store` must outlive the Trainer;
-  // full mode requires store->full_graph() != nullptr.
+  // `model` is trained in place; `tasks` holds one entry per model task.
+  // `node_features` is the num_nodes x dim pre-trained feature
+  // matrix. `store` must outlive the Trainer; full mode requires
+  // store->full_graph() != nullptr.
   Trainer(const GrimpOptions& options, const GraphStore* store,
-          const Tensor* node_features, HeteroGnn* gnn, Mlp* shared,
-          std::vector<TrainTask> tasks, int num_cols);
+          const Tensor* node_features, GrimpModel* model,
+          std::vector<TrainTask> tasks);
 
   // Runs the epoch loop to completion (max_epochs, early stopping, or a
   // callback returning false). Invokes callbacks.on_epoch_end once per
@@ -106,29 +101,26 @@ class Trainer {
   // on returns epochs_run == 0 without error.
   Result<TrainSummary> Run(const TrainCallbacks& callbacks);
 
-  const std::vector<TrainTask>& tasks() const { return tasks_; }
-
  private:
-  struct EpochResult {
-    double train_loss = 0.0;
-    bool trained = false;  // at least one optimizer step ran
-  };
-
-  // One full-graph training epoch (forward + backward + step). Also
-  // computes the validation loss on the same tape, matching the original
-  // loops op-for-op.
-  EpochResult RunFullEpoch(Adam* opt, double* val_loss_sum, bool* has_val);
-  // One sampled epoch: per-task minibatches, one optimizer step each.
-  EpochResult RunSampledEpoch(int epoch, Adam* opt);
-  // Full-graph validation forward (no backward); used by sampled mode over
-  // stores that expose a full graph. Non-const: records onto the
-  // persistent tape_.
-  double ValidationLoss(bool* has_val);
-  // Minibatched validation through the sampler (no full graph needed; used
-  // over sharded stores). Streams are fixed per (task, batch) — never per
+  // One whole-graph forward on the persistent tape_. With `opt` it trains:
+  // the summed task training losses are backpropagated and one optimizer
+  // step is taken (*trained reports whether any task had training
+  // samples; returns the training loss). Either way the validation losses
+  // are computed on the same tape, before the step, and summed into
+  // *val_loss_sum.
+  double RunFullPass(Adam* opt, double* val_loss_sum, bool* has_val,
+                     bool* trained);
+  // One pass of per-task minibatches through the sampler. Training
+  // (`opt` set) takes one optimizer step per batch; validation (`opt`
+  // null) only scores, on streams fixed per (task, batch) — never per
   // epoch — so successive epochs score the same sampled receptive fields
-  // and early stopping compares like with like.
-  double SampledValidationLoss(bool* has_val);
+  // and early stopping compares like with like. Returns the summed
+  // per-task mean loss; *ran reports whether any batch ran.
+  double RunSampledPass(int epoch, Adam* opt, bool* ran);
+  // The summed validation loss of the current weights: whole-graph when
+  // the store can serve it (matching full mode exactly), minibatched
+  // otherwise (sharded stores have no full graph by design).
+  double ValidationLoss(bool* has_val);
 
   // One sampled batch's fixed recipe, laid out before the pipeline run
   // starts so preparation is a pure function of the batch id on any
@@ -156,10 +148,8 @@ class Trainer {
   const GrimpOptions& options_;
   const GraphStore* store_;
   const Tensor* node_features_;
-  HeteroGnn* gnn_;
-  Mlp* shared_;
+  GrimpModel* model_;
   std::vector<TrainTask> tasks_;
-  int num_cols_;
   std::vector<Parameter*> params_;
   TrainSummary summary_;
   // Reused across every epoch / batch / validation pass (Tape::Reset keeps

@@ -46,4 +46,13 @@ int32_t Dictionary::MostFrequent() const {
   return best;
 }
 
+int32_t Dictionary::ArgmaxLive(const float* scores) const {
+  int32_t best = -1;
+  for (int32_t code = 0; code < size(); ++code) {
+    if (counts_[static_cast<size_t>(code)] <= 0) continue;
+    if (best < 0 || scores[code] > scores[best]) best = code;
+  }
+  return best;
+}
+
 }  // namespace grimp

@@ -29,6 +29,10 @@ class Dictionary {
 
   // Code with the highest occurrence count (-1 if empty).
   int32_t MostFrequent() const;
+  // Decodes one classifier output row over this domain: the live code
+  // (count > 0) with the highest score in scores[0, size()), the first on
+  // ties; -1 when no code is live.
+  int32_t ArgmaxLive(const float* scores) const;
 
  private:
   std::unordered_map<std::string, int32_t> index_;

@@ -70,7 +70,7 @@ void Sgd::Step() {
       float* vel = velocity_[k].data();
       float* w = p->value.data();
       const float* g = p->grad.data();
-      ForEachRange(p->value.size(), [=, &kt](int64_t b, int64_t e) {
+      ForEachRange(p->value.size(), [=, this, &kt](int64_t b, int64_t e) {
         kt.sgd_momentum(e - b, lr_, momentum_, g + b, vel + b, w + b);
       });
     } else {
@@ -102,7 +102,7 @@ void Adam::Step() {
     float* v = v_[k].data();
     float* w = p->value.data();
     const float* g = p->grad.data();
-    ForEachRange(p->value.size(), [=, &kt](int64_t b, int64_t e) {
+    ForEachRange(p->value.size(), [=, this, &kt](int64_t b, int64_t e) {
       kt.adam_step(e - b, lr_, beta1_, beta2_, eps_, weight_decay_, bc1, bc2,
                    g + b, m + b, v + b, w + b);
     });

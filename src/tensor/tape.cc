@@ -333,6 +333,9 @@ Tape::VarId Tape::ConcatCols(const std::vector<VarId>& xs) {
   VarId id = PushNode(std::move(out));
   nodes_[id].backward = [this, id, xs]() {
     const Tensor& g = nodes_[id].grad;
+    // GradRef allocates lazily: materialize every input's gradient before
+    // the parallel region so chunks never race on the allocation.
+    for (VarId x : xs) GradRef(x);
     ParallelRows(g.rows(), g.cols(), [&](int64_t r0, int64_t r1) {
       int64_t off = 0;
       for (VarId x : xs) {

@@ -201,6 +201,13 @@ TEST(RngTest, ForkProducesIndependentStream) {
   EXPECT_NE(a.Next(), child.Next());
 }
 
+TEST(RngTest, SplitMix64KnownAnswers) {
+  // The first outputs of the reference splitmix64 generator from state 0.
+  EXPECT_EQ(SplitMix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(SplitMix64(0x9e3779b97f4a7c15ULL), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(MixSeed(1, 2, 3), SplitMix64(SplitMix64(SplitMix64(1) ^ 2) ^ 3));
+}
+
 // --- CSV ---------------------------------------------------------------------
 
 TEST(CsvTest, ParsesSimpleLine) {

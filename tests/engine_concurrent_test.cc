@@ -1,5 +1,5 @@
 // Concurrency contract of GrimpEngine: after Fit, Transform and
-// TransformBatch are const and touch no shared mutable state, so any number
+// TransformMany are const and touch no shared mutable state, so any number
 // of threads may impute on one engine simultaneously and every result must
 // be bit-identical to a serial call. Run under GRIMP_SANITIZE=thread to
 // catch violations the assertions can't see.
@@ -68,6 +68,15 @@ std::vector<std::string> RowCells(const Table& table) {
   return cells;
 }
 
+// Imputes copies of `requests` in one batch-mode TransformMany call.
+Result<std::vector<Table>> TransformCopies(const GrimpEngine& engine,
+                                           std::vector<Table> requests) {
+  std::vector<Table*> pointers;
+  for (Table& t : requests) pointers.push_back(&t);
+  GRIMP_RETURN_IF_ERROR(engine.TransformMany(pointers));
+  return requests;
+}
+
 TEST(EngineConcurrentTest, ParallelTransformsAreBitIdenticalToSerial) {
   auto engine = FitEngine();
 
@@ -106,10 +115,7 @@ TEST(EngineConcurrentTest, TransformBatchMatchesIndividualTransforms) {
 
   std::vector<Table> requests;
   for (int which = 0; which < 3; ++which) requests.push_back(DirtyRow(which));
-  std::vector<const Table*> pointers;
-  for (const Table& t : requests) pointers.push_back(&t);
-
-  auto batched = engine->TransformBatch(pointers);
+  auto batched = TransformCopies(*engine, requests);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   ASSERT_EQ(batched->size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -123,7 +129,7 @@ TEST(EngineConcurrentTest, SingleRequestBatchEqualsTransform) {
   auto engine = FitEngine();
   const Table dirty = DirtyRow(0);
   auto solo = engine->Transform(dirty);
-  auto batched = engine->TransformBatch({&dirty});
+  auto batched = TransformCopies(*engine, {dirty});
   ASSERT_TRUE(solo.ok() && batched.ok());
   ASSERT_EQ(batched->size(), 1u);
   EXPECT_EQ(RowCells((*batched)[0]), RowCells(*solo));
@@ -134,9 +140,7 @@ TEST(EngineConcurrentTest, ConcurrentBatchesAreBitIdentical) {
 
   std::vector<Table> requests;
   for (int which = 0; which < 3; ++which) requests.push_back(DirtyRow(which));
-  std::vector<const Table*> pointers;
-  for (const Table& t : requests) pointers.push_back(&t);
-  auto baseline = engine->TransformBatch(pointers);
+  auto baseline = TransformCopies(*engine, requests);
   ASSERT_TRUE(baseline.ok());
   std::vector<std::vector<std::string>> expected;
   for (const Table& t : *baseline) expected.push_back(RowCells(t));
@@ -146,7 +150,7 @@ TEST(EngineConcurrentTest, ConcurrentBatchesAreBitIdentical) {
   std::vector<int> mismatches(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto result = engine->TransformBatch(pointers);
+      auto result = TransformCopies(*engine, requests);
       if (!result.ok() || result->size() != expected.size()) {
         mismatches[t] = 1;
         return;

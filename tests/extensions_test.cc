@@ -11,6 +11,7 @@
 #include "baselines/mida.h"
 #include "common/metrics.h"
 #include "core/engine.h"
+#include "core/names.h"
 #include "core/tuner.h"
 #include "data/datasets.h"
 #include "eval/metrics.h"
@@ -302,6 +303,45 @@ TEST(EngineTest, TransformOnTrainingTableWorks) {
   ASSERT_TRUE(imputed.ok());
   const ImputationScore score = ScoreImputation(*imputed, corrupted, source);
   EXPECT_GT(score.Accuracy(), 0.75);
+}
+
+// The transductive imputer and the inductive engine share one model core:
+// without validation holdout (which removes edges from the fit-time graph
+// only) Impute(t) must equal Fit(t) + Transform(t) cell for cell, with the
+// same training loss.
+TEST(EngineTest, ImputeEqualsFitThenTransform) {
+  auto clean = GenerateDatasetByName("contraceptive", 3, 150);
+  ASSERT_TRUE(clean.ok());
+  const CorruptedTable corrupted = InjectMcar(*clean, 0.2, 5);
+  for (const TaskKind kind : {TaskKind::kAttention, TaskKind::kLinear}) {
+    for (const TrainMode mode : {TrainMode::kFull, TrainMode::kSampled}) {
+      SCOPED_TRACE(std::string(TaskKindName(kind)) + "/" +
+                   (mode == TrainMode::kFull ? "full" : "sampled"));
+      GrimpOptions options;
+      options.dim = 16;
+      options.max_epochs = 8;
+      options.validation_fraction = 0.0;
+      options.task_kind = kind;
+      options.train.mode = mode;
+      options.train.batch_size = 64;
+      GrimpImputer imputer(options);
+      auto imputed = imputer.Impute(corrupted.dirty);
+      ASSERT_TRUE(imputed.ok()) << imputed.status().ToString();
+      GrimpEngine engine(options);
+      ASSERT_TRUE(engine.Fit(corrupted.dirty).ok());
+      auto transformed = engine.Transform(corrupted.dirty);
+      ASSERT_TRUE(transformed.ok()) << transformed.status().ToString();
+      EXPECT_EQ(imputer.summary().final_train_loss,
+                engine.summary().final_train_loss);
+      for (int c = 0; c < imputed->num_cols(); ++c) {
+        for (int64_t r = 0; r < imputed->num_rows(); ++r) {
+          ASSERT_EQ(imputed->column(c).StringAt(r),
+                    transformed->column(c).StringAt(r))
+              << "col " << c << " row " << r;
+        }
+      }
+    }
+  }
 }
 
 // --- Out-of-core sharded training -----------------------------------------

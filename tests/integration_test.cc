@@ -145,7 +145,7 @@ TEST(IntegrationTest, SuiteRunsOnTinySliceOfEveryDataset) {
   zoo.aimnet_epochs = 5;
   zoo.datawig_epochs = 5;
   zoo.forest_trees = 4;
-  for (const std::string& name : {"credit", "tictactoe"}) {
+  for (const std::string name : {"credit", "tictactoe"}) {
     auto clean = GenerateDatasetByName(name, 3, 60);
     ASSERT_TRUE(clean.ok()) << name;
     const CorruptedTable corrupted = InjectMcar(*clean, 0.2, 5);

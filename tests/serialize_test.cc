@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -192,6 +194,84 @@ TEST(ModelPersistenceTest, CorruptPayloadByteFailsChecksum) {
             std::string::npos)
       << loaded.status().ToString();
   EXPECT_NE(loaded.status().message().find(path), std::string::npos);
+}
+
+// Overwrites the int32 at byte `offset` of a saved model and rewrites the
+// FNV-1a footer, so the file passes the checksum and only Load's field
+// validation stands between the patched value and the model builder.
+void PatchModelI32(const std::string& path, int64_t offset, int32_t value) {
+  std::string bytes;
+  {
+    std::ifstream file(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(file),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(static_cast<int64_t>(bytes.size()), offset + 12);
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  const size_t payload = bytes.size() - sizeof(uint64_t);
+  uint64_t hash = BinaryWriter::kFnvOffsetBasis;
+  for (size_t i = 0; i < payload; ++i) {
+    hash ^= static_cast<unsigned char>(bytes[i]);
+    hash *= BinaryWriter::kFnvPrime;
+  }
+  std::memcpy(bytes.data() + payload, &hash, sizeof(hash));
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(ModelPersistenceTest, LoadRejectsChecksumValidBadFields) {
+  auto clean = GenerateDatasetByName("mammogram", 5, 60);
+  ASSERT_TRUE(clean.ok());
+  GrimpOptions options;
+  options.dim = 8;
+  options.max_epochs = 4;
+  options.k_strategy = KStrategy::kWeakDiagonalFd;
+  options.fds = {FunctionalDependency{{0}, 1}};
+  GrimpEngine engine(options);
+  ASSERT_TRUE(engine.Fit(*clean).ok());
+  const std::string base = TempPath("grimp_patch_base.bin");
+  ASSERT_TRUE(engine.Save(base).ok());
+  ASSERT_TRUE(GrimpEngine::Load(base).ok());
+
+  // Byte offsets in the v2 layout written by GrimpEngine::Save: magic u64,
+  // version u32, then features, task_kind, k_strategy, dim, shared_hidden,
+  // task_hidden, gnn_layers (i32 each), use_gnn (u32), neighbor_cap (i32),
+  // seed u64, the FD list (count u64; per FD: lhs size u64, lhs i32s,
+  // rhs i32), the field count u64, then per field: name (u64 length +
+  // bytes) and type i32.
+  const int64_t first_type_at =
+      80 + 8 + 8 + static_cast<int64_t>(engine.schema().field(0).name.size());
+  struct Patch {
+    const char* field;
+    int64_t offset;
+    int32_t value;
+  };
+  const Patch patches[] = {
+      {"features out of range", 12, 9},
+      {"features not n-gram", 12,
+       static_cast<int32_t>(FeatureInitKind::kEmbdi)},
+      {"task_kind", 16, 5},
+      {"k_strategy", 20, -1},
+      {"dim negative", 24, -4},
+      {"dim beyond the stored weights", 24, 1 << 30},
+      {"shared_hidden", 28, 0},
+      {"gnn_layers", 36, 0},
+      {"FD lhs column", 72, 99},
+      {"FD rhs column", 76, -3},
+      {"field type", first_type_at, 7},
+  };
+  for (const Patch& patch : patches) {
+    SCOPED_TRACE(patch.field);
+    const std::string path = TempPath("grimp_patched.bin");
+    std::filesystem::copy_file(base, path,
+                               std::filesystem::copy_options::overwrite_existing);
+    PatchModelI32(path, patch.offset, patch.value);
+    ASSERT_TRUE(VerifyTrailingChecksum(path).ok());
+    auto loaded = GrimpEngine::Load(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsInvalidArgument())
+        << loaded.status().ToString();
+  }
 }
 
 TEST(ModelPersistenceTest, TruncatedModelFileFails) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "table/stats.h"
 
 namespace grimp {
@@ -99,6 +101,10 @@ struct ParamCountCase {
   int64_t linear;
   int64_t attention;
 };
+
+// Without this, gtest prints the case as a raw byte dump that includes the
+// address of `dataset`, so the listed test names change from run to run.
+void PrintTo(const ParamCountCase& c, std::ostream* os) { *os << c.dataset; }
 
 class ParameterCountTest : public ::testing::TestWithParam<ParamCountCase> {};
 
