@@ -8,25 +8,11 @@ namespace grimp {
 const char* EnvOverrides::Raw(const char* name) { return std::getenv(name); }
 
 int EnvOverrides::PositiveInt(const char* name, int fallback) {
-  const int64_t v = PositiveInt64(name, static_cast<int64_t>(fallback));
-  return static_cast<int>(v);
-}
-
-int64_t EnvOverrides::PositiveInt64(const char* name, int64_t fallback) {
   const char* raw = Raw(name);
   if (raw == nullptr || raw[0] == '\0') return fallback;
   char* end = nullptr;
   const long long v = std::strtoll(raw, &end, 10);
   if (end == raw || v <= 0) return fallback;
-  return static_cast<int64_t>(v);
-}
-
-int EnvOverrides::NonNegativeInt(const char* name, int fallback) {
-  const char* raw = Raw(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || v < 0) return fallback;
   return static_cast<int>(v);
 }
 

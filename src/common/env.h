@@ -1,7 +1,6 @@
 #ifndef GRIMP_COMMON_ENV_H_
 #define GRIMP_COMMON_ENV_H_
 
-#include <cstdint>
 #include <string>
 
 namespace grimp {
@@ -13,9 +12,6 @@ namespace grimp {
 inline constexpr char kEnvNumThreads[] = "GRIMP_NUM_THREADS";
 inline constexpr char kEnvSimd[] = "GRIMP_SIMD";
 inline constexpr char kEnvArena[] = "GRIMP_ARENA";
-inline constexpr char kEnvShards[] = "GRIMP_SHARDS";
-inline constexpr char kEnvShardBudgetMb[] = "GRIMP_SHARD_BUDGET_MB";
-inline constexpr char kEnvPipeline[] = "GRIMP_PIPELINE";
 inline constexpr char kEnvMetricsJson[] = "GRIMP_METRICS_JSON";
 inline constexpr char kEnvLogLevel[] = "GRIMP_LOG_LEVEL";
 
@@ -31,14 +27,6 @@ class EnvOverrides {
   // Parsed integer when the variable is set to a value > 0; `fallback`
   // otherwise (unset, empty, non-numeric, zero or negative).
   static int PositiveInt(const char* name, int fallback);
-  static int64_t PositiveInt64(const char* name, int64_t fallback);
-
-  // Parsed integer when the variable is set to a value >= 0; `fallback`
-  // otherwise (unset, empty, non-numeric or negative). For knobs where an
-  // explicit "0" is meaningful and must not collapse into the fallback
-  // (GRIMP_PIPELINE=0 forces the serial training path regardless of
-  // TrainConfig::pipeline_depth).
-  static int NonNegativeInt(const char* name, int fallback);
 
   // Non-empty string value, else `fallback`.
   static std::string String(const char* name, const std::string& fallback);

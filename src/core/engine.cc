@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/pipeline.h"
+#include "embedding/ngram_init.h"
 #include "tensor/arena.h"
 #include "tensor/simd.h"
 
@@ -38,6 +39,21 @@ Status CheckEngineOptions(const GrimpOptions& options) {
     return Status::FailedPrecondition(
         "GrimpEngine supports multi-task mode only");
   }
+  return Status::OK();
+}
+
+// The inference featurization (TransformMany, AttentionSummary): the whole
+// graph of `table` under Fit's graph options (recycling *scratch when
+// non-null) and n-gram features from Fit's feature seed.
+Status Featurize(const GrimpOptions& options, const Table& table,
+                 TableGraph* tg, PretrainedFeatures* features,
+                 GraphBuilder::Scratch* scratch = nullptr) {
+  GRIMP_RETURN_IF_ERROR(GraphBuilder(GraphBuildOptionsFor(options))
+                            .BuildInto(table, {}, tg, scratch));
+  GRIMP_ASSIGN_OR_RETURN(
+      *features,
+      NgramFeatureInit().Init(table, *tg, options.dim,
+                              DrawSeedStreams(options.seed).features));
   return Status::OK();
 }
 
@@ -77,6 +93,15 @@ Status GrimpEngine::CheckStreamContext(const StreamContext& ctx) const {
       ctx.node_features == nullptr) {
     return Status::InvalidArgument(
         "StreamContext.table/tg/store/node_features must all be set");
+  }
+  if (!ctx.fanouts.empty() &&
+      (static_cast<int>(ctx.fanouts.size()) != options_.gnn_layers ||
+       std::any_of(ctx.fanouts.begin(), ctx.fanouts.end(),
+                   [](int fanout) { return fanout <= 0; }))) {
+    return Status::InvalidArgument(
+        "StreamContext.fanouts must be empty or hold one fanout > 0 per GNN "
+        "layer (" +
+        std::to_string(options_.gnn_layers) + ")");
   }
   if (!options_.use_gnn) {
     return Status::FailedPrecondition(
@@ -195,17 +220,9 @@ Result<Tensor> GrimpEngine::AttentionSummary(const Table& table) const {
   GRIMP_RETURN_IF_ERROR(CheckSchema(table));
   const int num_cols = table.num_cols();
 
-  GraphBuildOptions graph_options;
-  graph_options.max_neighbors_per_node = options_.graph.neighbor_cap;
-  graph_options.seed = options_.seed;
-  GRIMP_ASSIGN_OR_RETURN(const TableGraph tg,
-                         GraphBuilder(graph_options).Build(table));
-  auto initializer = MakeFeatureInitializer(options_.features);
-  Rng rng(options_.seed);
-  rng.Fork();
-  GRIMP_ASSIGN_OR_RETURN(PretrainedFeatures features,
-                         initializer->Init(table, tg, options_.dim,
-                                           rng.Next()));
+  TableGraph tg;
+  PretrainedFeatures features;
+  GRIMP_RETURN_IF_ERROR(Featurize(options_, table, &tg, &features));
 
   Tape tape;
   Tape::VarId h_shared = model_.Encode(
@@ -533,28 +550,17 @@ Status GrimpEngine::TransformMany(std::span<Table* const> tables,
   // refill them in place.
   s.tape.Reset();
 
-  // Each request gets the graph and deterministic n-gram features a solo
-  // Transform() would build — same options, same seed derivation (the
-  // n-gram seed must match Fit's: second draw of Rng(options.seed) after
-  // the corpus fork). Batching then stitches the per-request graphs into a
+  // Each request gets the graph and features a solo Transform() would
+  // build. Batching then stitches the per-request graphs into a
   // block-diagonal disjoint union: message passing cannot cross request
   // boundaries, and every kernel downstream is row-independent, so each
   // result is bit-identical to its solo Transform().
-  GraphBuildOptions graph_options;
-  graph_options.max_neighbors_per_node = options_.graph.neighbor_cap;
-  graph_options.seed = options_.seed;
-  const GraphBuilder builder(graph_options);
-  auto initializer = MakeFeatureInitializer(options_.features);
   if (s.requests.size() < tables.size()) s.requests.resize(tables.size());
   int64_t total_nodes = 0;
   for (size_t i = 0; i < tables.size(); ++i) {
     TransformScratch::Request& ctx = s.requests[i];
     GRIMP_RETURN_IF_ERROR(
-        builder.BuildInto(*tables[i], {}, &ctx.tg, &s.graph));
-    Rng rng(options_.seed);
-    rng.Fork();
-    GRIMP_ASSIGN_OR_RETURN(
-        ctx.features, initializer->Init(*tables[i], ctx.tg, dim, rng.Next()));
+        Featurize(options_, *tables[i], &ctx.tg, &ctx.features, &s.graph));
     ctx.offset = total_nodes;
     total_nodes += ctx.tg.graph.num_nodes();
   }
@@ -634,60 +640,40 @@ Status GrimpEngine::TransformStream(Table* window,
         std::to_string(live.num_rows()) + " rows)");
   }
   GRIMP_TRACE_SPAN("grimp.transform_stream");
-  const size_t num_tasks = model_.num_tasks();
 
-  // One pipeline batch per task, prepared (window scan, sampling — which
-  // prefetches/pins shards — and feature gather) up to `depth` tasks ahead
-  // of the forward the consumer is running. Batch ids are task positions,
-  // and each task's sampling stream is keyed on (seed, task, nonce) —
-  // never on graph state or thread count — so imputations are
-  // bit-identical at every depth, and incremental and rebuilt live graphs
-  // impute identically. A window with nothing to impute for a task still
-  // occupies its pipeline position with bn == 0. Batch b's cells land in
-  // task_cells[b], written only by the producer preparing b and read by
-  // the consumer after Next() hands b over.
-  std::vector<std::vector<GrimpModel::Cell>> task_cells(num_tasks);
-  BatchPipeline pipeline(
-      BatchPipeline::ResolveDepth(options_.train.pipeline_depth), ctx.store,
-      model_.Fanouts(ctx.fanouts.empty() ? options_.train.fanouts
-                                         : ctx.fanouts));
-  const auto prepare = [&](int64_t b, PreparedBatch* out,
-                           const PipelineScratch& scratch) {
-    std::vector<GrimpModel::Cell>& cells =
-        task_cells[static_cast<size_t>(b)];
-    out->bn = 0;
-    out->local_idx.clear();
-    model_.AppendImputeCells(static_cast<size_t>(b), live, *ctx.tg,
-                             ctx.row_begin, ctx.row_begin + w, 0, 0,
-                             &out->local_idx, &cells);
-    if (cells.empty()) return;
-
-    Rng rng(MixSeed(options_.seed ^ kStreamSalt, static_cast<uint64_t>(b),
-                    ctx.nonce));
-    SampleBatchSeeds(&rng, scratch, out);
-    GatherBatchInputs(*ctx.node_features, scratch, out);
-    out->bn = static_cast<int64_t>(cells.size());
-  };
-
-  // Deferred writes, exactly like batch mode: every live-table read happens
-  // before the window is mutated (preparation reads the live table too, so
-  // the pipeline must fully drain before the writes below).
-  Tape tape;
+  // One sampled forward per task, prepared inline: the window scan, then
+  // sampling (which prefetches and pins shards) and the feature gather.
+  // Each task's sampling stream is keyed on (seed, task, nonce), never on
+  // graph state or thread count, so incremental and rebuilt live graphs
+  // impute identically. Writes are deferred, exactly like batch mode:
+  // every live-table read happens before the window is mutated.
+  NeighborSampler sampler(
+      ctx.store, model_.Fanouts(ctx.fanouts.empty() ? options_.train.fanouts
+                                                    : ctx.fanouts));
+  std::vector<int32_t> seed_local(static_cast<size_t>(ctx.store->num_nodes()),
+                                  -1);
+  const PipelineScratch scratch{&sampler, &seed_local};
+  PreparedBatch batch;
+  std::vector<GrimpModel::Cell> cells;
   std::vector<GrimpModel::Decision> decisions;
-  pipeline.Begin(static_cast<int64_t>(num_tasks), prepare);
-  for (size_t t = 0; t < num_tasks; ++t) {
-    // Reset first: the previous task's tape closures borrow the pipeline
-    // slot's adjacency and gather-index storage, and Next() releases that
-    // slot for recycling.
+  Tape tape;
+  for (size_t t = 0; t < model_.num_tasks(); ++t) {
+    // Reset first: the previous task's tape closures borrow the batch's
+    // adjacency and gather-index storage, which this task refills.
     tape.Reset();
-    PreparedBatch& batch = pipeline.Next();
-    if (batch.bn == 0) continue;
+    batch.local_idx.clear();
+    cells.clear();
+    model_.AppendImputeCells(t, live, *ctx.tg, ctx.row_begin,
+                             ctx.row_begin + w, 0, 0, &batch.local_idx,
+                             &cells);
+    if (cells.empty()) continue;
+    Rng rng(MixSeed(options_.seed ^ kStreamSalt, t, ctx.nonce));
+    SampleBatchSeeds(&rng, scratch, &batch);
+    GatherBatchInputs(*ctx.node_features, scratch, &batch);
     Tape::VarId h_shared = model_.EncodeBlocks(
         &tape, tape.Constant(std::move(batch.feats)), batch.sub);
-    model_.Decide(&tape, h_shared, t, &batch.local_idx, task_cells[t],
-                  &decisions);
+    model_.Decide(&tape, h_shared, t, &batch.local_idx, cells, &decisions);
   }
-  pipeline.End();
 
   model_.Apply(decisions, std::span<Table* const>(&window, 1));
   TensorArena::Global().PublishMetrics();

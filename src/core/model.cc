@@ -56,13 +56,28 @@ std::vector<float> LogPriorBias(const Dictionary& dict) {
 
 }  // namespace
 
+SeedStreams DrawSeedStreams(uint64_t seed) {
+  Rng rng(seed);
+  SeedStreams streams;
+  streams.corpus = rng.Fork();
+  streams.features = rng.Next();
+  streams.model = rng.Fork();
+  return streams;
+}
+
+GraphBuildOptions GraphBuildOptionsFor(const GrimpOptions& options) {
+  GraphBuildOptions graph_options;
+  graph_options.max_neighbors_per_node = options.graph.neighbor_cap;
+  graph_options.seed = options.seed;
+  return graph_options;
+}
+
 Result<GrimpModel::FitGraph> GrimpModel::Fit(const GrimpOptions& options,
                                              const Table& source,
                                              TrainSummary* summary) {
   *summary = TrainSummary{};
-  Rng rng(options.seed);
+  SeedStreams seeds = DrawSeedStreams(options.seed);
   Normalizer normalizer = Normalizer::Fit(source);
-  Rng corpus_rng = rng.Fork();
   const bool sharded = options.graph.shard_mode == ShardMode::kSharded;
   const TrainingCorpus corpus =
       sharded ? BuildCappedTrainingCorpus(
@@ -70,35 +85,31 @@ Result<GrimpModel::FitGraph> GrimpModel::Fit(const GrimpOptions& options,
                     options.max_samples_per_task > 0
                         ? options.max_samples_per_task
                         : kDefaultShardedSamplesPerCol,
-                    &corpus_rng)
+                    &seeds.corpus)
               : BuildTrainingCorpus(source, options.validation_fraction,
-                                    &corpus_rng);
-  GraphBuildOptions graph_options;
-  graph_options.max_neighbors_per_node = options.graph.neighbor_cap;
-  graph_options.seed = options.seed;
+                                    &seeds.corpus);
   FitGraph fit;
+  GRIMP_ASSIGN_OR_RETURN(fit.tg,
+                         GraphBuilder(GraphBuildOptionsFor(options))
+                             .Build(source, corpus.ValidationCells()));
   GRIMP_ASSIGN_OR_RETURN(
-      fit.tg,
-      GraphBuilder(graph_options).Build(source, corpus.ValidationCells()));
-  GRIMP_ASSIGN_OR_RETURN(fit.features,
-                         MakeFeatureInitializer(options.features)
-                             ->Init(source, fit.tg, options.dim, rng.Next()));
+      fit.features, MakeFeatureInitializer(options.features)
+                        ->Init(source, fit.tg, options.dim, seeds.features));
 
   // The store is the trainer's only view of the topology. In-memory mode
   // borrows fit.tg.graph (the degenerate single-shard case); sharded mode
   // spills the CSRs to disk at Create, after which the in-core copy is
   // dropped — from here on the full adjacency never lives in memory again.
   GRIMP_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
-                         MakeGraphStore(fit.tg.graph, options.graph));
+                         MakeGraphStore(&fit.tg.graph, options.graph));
   if (sharded) fit.tg.graph.SetAdjacency({});
 
-  Rng model_rng = rng.Fork();
   std::vector<Dictionary> dicts;
   for (int c = 0; c < source.num_cols(); ++c) {
     dicts.push_back(source.column(c).dict());
   }
   Build(options, source.schema(), std::move(dicts), std::move(normalizer),
-        fit.features.column_features, &model_rng);
+        fit.features.column_features, &seeds.model);
 
   TraceSpan task_build_span("grimp.task_build");
   std::vector<TrainTask> tasks =

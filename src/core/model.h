@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/corpus.h"
 #include "core/options.h"
 #include "core/tasks.h"
@@ -18,6 +19,22 @@
 #include "tensor/nn.h"
 
 namespace grimp {
+
+// Alg. 1's random streams, drawn from Rng(seed) in one fixed order: the
+// corpus fork, the feature seed, then the model fork. Every path that
+// featurizes a table (Fit, TransformMany, AttentionSummary, LiveGraph)
+// takes `features` from here, so a value string gets the vector it had in
+// Fit.
+struct SeedStreams {
+  Rng corpus;
+  uint64_t features = 0;
+  Rng model;
+};
+SeedStreams DrawSeedStreams(uint64_t seed);
+
+// Fit's graph construction options, reused by inference so a request
+// graph is built the way the training graph was.
+GraphBuildOptions GraphBuildOptionsFor(const GrimpOptions& options);
 
 // The one GRIMP model (paper §3.3–3.7, Alg. 1) behind both GrimpImputer
 // and GrimpEngine: a heterogeneous GraphSAGE stack, the shared merging MLP

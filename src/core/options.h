@@ -49,14 +49,13 @@ struct TrainConfig {
   // with weights worse (by validation loss) than the ones it started from
   // — if no epoch improves, the restore hands the originals back.
   bool warm_start = false;
-  // Async batch-preparation lookahead for sampled mode (and streaming
-  // window inference): producer threads sample / prefetch shards / gather
-  // features for up to this many future batches while the consumer runs
-  // forward/backward on the current one. 0 (the default) is the serial
-  // path; any depth produces bit-identical losses and imputations because
-  // per-batch RNG streams are keyed on (seed, epoch, batch), not on who
-  // prepares the batch. Overridable at runtime via GRIMP_PIPELINE
-  // (GRIMP_PIPELINE=0 forces serial even when this is > 0).
+  // Async batch-preparation lookahead for sampled training (Fit, Resume):
+  // producer threads sample / prefetch shards / gather features for up to
+  // this many future batches while the consumer runs forward/backward on
+  // the current one. 0 (the default) is the serial path; any depth
+  // produces bit-identical losses and imputations because per-batch RNG
+  // streams are keyed on (seed, epoch, batch), not on who prepares the
+  // batch.
   int pipeline_depth = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/env.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -62,11 +61,6 @@ BatchPipeline::~BatchPipeline() {
   for (Producer& p : producers_) {
     if (p.thread.joinable()) p.thread.join();
   }
-}
-
-int BatchPipeline::ResolveDepth(int config_depth) {
-  const int depth = EnvOverrides::NonNegativeInt(kEnvPipeline, config_depth);
-  return std::clamp(depth, 0, kMaxDepth);
 }
 
 void BatchPipeline::EnsureScratch(NeighborSampler** sampler,

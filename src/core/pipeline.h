@@ -35,10 +35,6 @@ struct PreparedBatch {
   // two is filled, matching the task's kind).
   std::vector<int32_t> labels;
   std::vector<float> targets;
-  // Samples in this batch. 0 marks a batch the consumer should skip
-  // (streaming windows with nothing to impute still occupy a pipeline
-  // position so batch ids stay aligned with task order).
-  int64_t bn = 0;
 };
 
 // Per-producer scratch handed to every PrepareFn invocation. One instance
@@ -101,8 +97,9 @@ class BatchPipeline {
                          const PipelineScratch& scratch)>;
 
   // `store` must outlive the pipeline; `fanouts` are the per-layer sampler
-  // fanouts (already defaulted by the caller). Producer threads (min(depth,
-  // 4)) start here and live until destruction, parked between runs.
+  // fanouts (already defaulted by the caller); `depth` is clamped to
+  // [0, kMaxDepth]. Producer threads (min(depth, 4)) start here and live
+  // until destruction, parked between runs.
   BatchPipeline(int depth, const GraphStore* store, std::vector<int> fanouts);
   ~BatchPipeline();
 
@@ -124,11 +121,6 @@ class BatchPipeline {
   // preparation to drain, and clears slot ready-marks so a subsequent
   // Begin starts clean. Prepared-but-unconsumed batches are discarded.
   void End();
-
-  // Effective depth for a run: GRIMP_PIPELINE when set (0 forces serial),
-  // else `config_depth` (TrainConfig::pipeline_depth), clamped to
-  // [0, kMaxDepth].
-  static int ResolveDepth(int config_depth);
 
   // Lookahead ceiling; deeper pipelines only add slot memory without
   // hiding more latency than the slowest stage allows.

@@ -107,7 +107,7 @@ double Trainer::ValidationLoss(bool* has_val) {
 void Trainer::EnsurePipeline() {
   if (pipeline_ != nullptr) return;
   pipeline_ = std::make_unique<BatchPipeline>(
-      BatchPipeline::ResolveDepth(options_.train.pipeline_depth), store_,
+      options_.train.pipeline_depth, store_,
       model_->Fanouts(options_.train.fanouts));
 }
 
@@ -130,7 +130,6 @@ void Trainer::PrepareBatch(const BatchPlan& plan, bool validation,
   GatherBatchInputs(*node_features_, scratch, out);
   gather_span.Stop();
 
-  out->bn = plan.bn;
   if (task.categorical) {
     const std::vector<int32_t>& labels =
         validation ? task.val_labels : task.train_labels;

@@ -74,7 +74,7 @@ struct TrainSummary {
 //    id) — never from thread count or scheduling — so losses are identical
 //    at every GRIMP_NUM_THREADS and every pipeline depth. Batch
 //    preparation (sampling, shard prefetch, feature gather) runs through a
-//    BatchPipeline (TrainConfig::pipeline_depth / GRIMP_PIPELINE):
+//    BatchPipeline (TrainConfig::pipeline_depth):
 //    depth 0 prepares inline, depth N overlaps up to N future batches
 //    with the current step's forward/backward.
 //
@@ -134,8 +134,8 @@ class Trainer {
   };
 
   // Lazily builds the batch-preparation pipeline at
-  // BatchPipeline::ResolveDepth(options_.train.pipeline_depth) with the
-  // run's fanouts (depth 0 == the serial path, inline in Next()).
+  // options_.train.pipeline_depth with the run's fanouts (depth 0 == the
+  // serial path, inline in Next()).
   void EnsurePipeline();
   // Prepares one batch per its plan: seed dedup in first-seen order,
   // neighbor sampling (which prefetches/pins the touched shards), feature

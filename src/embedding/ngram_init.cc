@@ -1,5 +1,6 @@
 #include "embedding/ngram_init.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/string_util.h"
@@ -76,6 +77,27 @@ void NgramFeatureInit::EmbedInto(const std::string& value, int dim,
   }
 }
 
+void NgramFeatureInit::AverageRidRow(const Table& table, const TableGraph& tg,
+                                     int64_t row, Tensor* features) {
+  const int64_t dim = features->cols();
+  float* out = &features->at(tg.rid_nodes[static_cast<size_t>(row)], 0);
+  std::fill(out, out + dim, 0.0f);
+  int present = 0;
+  for (int c = 0; c < table.num_cols(); ++c) {
+    const int32_t code = table.column(c).CodeAt(row);
+    if (code < 0) continue;
+    const int64_t cell = tg.CellNode(c, code);
+    if (cell < 0) continue;
+    const float* cell_vec = &features->at(cell, 0);
+    for (int64_t d = 0; d < dim; ++d) out[d] += cell_vec[d];
+    ++present;
+  }
+  if (present > 0) {
+    const float inv = 1.0f / static_cast<float>(present);
+    for (int64_t d = 0; d < dim; ++d) out[d] *= inv;
+  }
+}
+
 Result<PretrainedFeatures> NgramFeatureInit::Init(const Table& table,
                                                   const TableGraph& tg,
                                                   int dim,
@@ -96,24 +118,8 @@ Result<PretrainedFeatures> NgramFeatureInit::Init(const Table& table,
                 &out.node_features.at(node, 0), &padded_scratch);
     }
   }
-  // RID nodes: mean of the tuple's present cell vectors.
   for (int64_t r = 0; r < table.num_rows(); ++r) {
-    const int64_t rid = tg.rid_nodes[static_cast<size_t>(r)];
-    int present = 0;
-    for (int c = 0; c < table.num_cols(); ++c) {
-      const int32_t code = table.column(c).CodeAt(r);
-      if (code < 0) continue;
-      const int64_t cell = tg.CellNode(c, code);
-      if (cell < 0) continue;
-      for (int d = 0; d < dim; ++d) {
-        out.node_features.at(rid, d) += out.node_features.at(cell, d);
-      }
-      ++present;
-    }
-    if (present > 0) {
-      const float inv = 1.0f / static_cast<float>(present);
-      for (int d = 0; d < dim; ++d) out.node_features.at(rid, d) *= inv;
-    }
+    AverageRidRow(table, tg, r, &out.node_features);
   }
   out.column_features = Tensor::Zeros(table.num_cols(), dim);
   FillColumnFeaturesFromCells(table, tg, out.node_features,

@@ -31,7 +31,6 @@ class NgramFeatureInit : public FeatureInitializer {
   std::vector<float> EmbedString(const std::string& value, int dim,
                                  uint64_t seed) const;
 
- private:
   // Allocation-free core of EmbedString: writes the `dim` components to
   // `out` and reuses `*padded` for the boundary-marked copy of `value`, so
   // Init embeds a whole table without per-value heap traffic (the serving
@@ -39,6 +38,14 @@ class NgramFeatureInit : public FeatureInitializer {
   void EmbedInto(const std::string& value, int dim, uint64_t seed,
                  float* out, std::string* padded) const;
 
+  // Writes the RID vector of `row` into its row of *features: the mean of
+  // the row's present cell vectors, summed in column order. Init and the
+  // live graph's feature refresh share it, so a refreshed RID vector is
+  // bit-identical to a rebuilt one.
+  static void AverageRidRow(const Table& table, const TableGraph& tg,
+                            int64_t row, Tensor* features);
+
+ private:
   int min_n_;
   int max_n_;
   int num_buckets_;

@@ -543,18 +543,18 @@ int64_t ShardedGraphStore::high_water_bytes() const {
   return high_water_bytes_;
 }
 
-Result<std::unique_ptr<GraphStore>> MakeGraphStore(const HeteroGraph& graph,
+Result<std::unique_ptr<GraphStore>> MakeGraphStore(HeteroGraph* graph,
                                                    const GraphConfig& config) {
   GRIMP_RETURN_IF_ERROR(config.Validate());
   if (config.shard_mode == ShardMode::kInMemory) {
-    return std::unique_ptr<GraphStore>(new InMemoryGraphStore(&graph));
+    return std::unique_ptr<GraphStore>(new InMemoryGraphStore(graph));
   }
   ShardedGraphStore::Options options;
   options.num_shards = config.num_shards;
   options.max_resident_bytes = config.max_resident_bytes;
   options.spill_dir = config.spill_dir;
   GRIMP_ASSIGN_OR_RETURN(auto store,
-                         ShardedGraphStore::Create(graph, options));
+                         ShardedGraphStore::Create(*graph, options));
   return std::unique_ptr<GraphStore>(std::move(store));
 }
 

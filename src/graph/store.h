@@ -263,10 +263,11 @@ class ShardedGraphStore final : public GraphStore {
   mutable uint64_t lru_clock_ = 0;
 };
 
-// Shard-mode factory used by the engine: wraps `graph` in an
-// InMemoryGraphStore (borrowing it — the graph must outlive the store) or
-// slices it into a ShardedGraphStore according to `config`.
-Result<std::unique_ptr<GraphStore>> MakeGraphStore(const HeteroGraph& graph,
+// Shard-mode factory used by the engine and the live graph: wraps *graph
+// in an appendable InMemoryGraphStore (borrowing it — the graph must
+// outlive the store) or slices it into a ShardedGraphStore according to
+// `config`.
+Result<std::unique_ptr<GraphStore>> MakeGraphStore(HeteroGraph* graph,
                                                    const GraphConfig& config);
 
 }  // namespace grimp

@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "common/metrics.h"
-#include "common/rng.h"
 #include "common/trace.h"
-#include "embedding/feature_init.h"
 #include "graph/delta.h"
 
 namespace grimp {
@@ -32,11 +30,7 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Create(
   live->options_ = options;
   live->table_ = std::move(seed);
 
-  // Same derivation as GrimpEngine::Fit (Rng(seed), Fork for the corpus
-  // stream, then Next): identical seed -> identical feature vectors.
-  Rng rng(options.seed);
-  rng.Fork();
-  live->feature_seed_ = rng.Next();
+  live->feature_seed_ = DrawSeedStreams(options.seed).features;
 
   GraphSegment first;
   first.row_end = live->table_.num_rows();
@@ -55,17 +49,9 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Create(
                            live->feature_seed_));
   live->node_features_ = std::move(features.node_features);
 
-  if (options.graph.shard_mode == ShardMode::kInMemory) {
-    live->store_ = std::make_unique<InMemoryGraphStore>(&live->tg_.graph);
-  } else {
-    ShardedGraphStore::Options shard_options;
-    shard_options.num_shards = options.graph.num_shards;
-    shard_options.max_resident_bytes = options.graph.max_resident_bytes;
-    shard_options.spill_dir = options.graph.spill_dir;
-    GRIMP_ASSIGN_OR_RETURN(
-        std::unique_ptr<ShardedGraphStore> store,
-        ShardedGraphStore::Create(live->tg_.graph, shard_options));
-    live->store_ = std::move(store);
+  GRIMP_ASSIGN_OR_RETURN(live->store_,
+                         MakeGraphStore(&live->tg_.graph, options.graph));
+  if (options.graph.shard_mode == ShardMode::kSharded) {
     live->tg_.graph.SetAdjacency({});  // the store owns the topology now
   }
   return live;
@@ -182,53 +168,34 @@ void LiveGraph::RefreshFeatures(int64_t old_num_nodes,
   const int64_t num_nodes = tg_.graph.num_nodes();
 
   // Uninit is safe: old rows are copied below, new cell rows are fully
-  // written by EmbedString and new RID rows by recompute_rid.
+  // written by EmbedInto and new RID rows by AverageRidRow.
   Tensor features = Tensor::Uninit(num_nodes, dim);
   std::copy(node_features_.data(),
             node_features_.data() + old_num_nodes * dim, features.data());
 
-  // New cell nodes: deterministic n-gram embedding of the value string —
-  // the same pure function NgramFeatureInit::Init applies, so the row is
+  // New cell nodes, then the RID vectors of appended and filled rows —
+  // through the same routines as NgramFeatureInit::Init, so every row is
   // bit-identical to a rebuild's.
+  std::string padded;
   for (int c = 0; c < num_cols; ++c) {
     const Dictionary& dict = table_.column(c).dict();
     for (int32_t code = prev.code_end[static_cast<size_t>(c)];
          code < sealed.code_end[static_cast<size_t>(c)]; ++code) {
       const int64_t node = tg_.CellNode(c, code);
       GRIMP_CHECK_GE(node, 0);
-      const std::vector<float> vec =
-          embedder_.EmbedString(dict.ValueOf(code), dim, feature_seed_);
-      std::copy(vec.begin(), vec.end(), &features.at(node, 0));
+      embedder_.EmbedInto(dict.ValueOf(code), dim, feature_seed_,
+                          &features.at(node, 0), &padded);
     }
   }
-
-  // RID vectors: mean of the row's present cell vectors, accumulated in
-  // column order exactly like Init (same adds in the same order -> same
-  // floats).
-  auto recompute_rid = [&](int64_t row) {
-    const int64_t rid = tg_.rid_nodes[static_cast<size_t>(row)];
-    float* out = &features.at(rid, 0);
-    std::fill(out, out + dim, 0.0f);
-    int present = 0;
-    for (int c = 0; c < num_cols; ++c) {
-      const int32_t code = table_.column(c).CodeAt(row);
-      if (code < 0) continue;
-      const int64_t cell = tg_.CellNode(c, code);
-      if (cell < 0) continue;
-      const float* cell_vec = &features.at(cell, 0);
-      for (int d = 0; d < dim; ++d) out[d] += cell_vec[d];
-      ++present;
-    }
-    if (present > 0) {
-      const float inv = 1.0f / static_cast<float>(present);
-      for (int d = 0; d < dim; ++d) out[d] *= inv;
-    }
-  };
-  for (int64_t r = prev.row_end; r < sealed.row_end; ++r) recompute_rid(r);
+  for (int64_t r = prev.row_end; r < sealed.row_end; ++r) {
+    NgramFeatureInit::AverageRidRow(table_, tg_, r, &features);
+  }
   std::sort(dirty_rows_.begin(), dirty_rows_.end());
   dirty_rows_.erase(std::unique(dirty_rows_.begin(), dirty_rows_.end()),
                     dirty_rows_.end());
-  for (int64_t r : dirty_rows_) recompute_rid(r);
+  for (int64_t r : dirty_rows_) {
+    NgramFeatureInit::AverageRidRow(table_, tg_, r, &features);
+  }
 
   node_features_ = std::move(features);
 }

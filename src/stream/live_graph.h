@@ -18,8 +18,8 @@ namespace grimp {
 
 // Knobs for LiveGraph::Create. `graph` selects the store (in-memory or
 // sharded); `dim` and `seed` must match the engine that will read the
-// state (GrimpOptions::dim / ::seed), because the feature seed is derived
-// from `seed` exactly the way Fit derives it — that is what makes the live
+// state (GrimpOptions::dim / ::seed), because the feature seed comes from
+// DrawSeedStreams(seed) exactly as in Fit — that is what makes the live
 // feature matrix bit-identical to the one a batch run would build.
 struct LiveGraphOptions {
   GraphConfig graph;

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <string>
 #include <unordered_set>
 
 #include "common/rng.h"
 #include "graph/hetero_graph.h"
+#include "graph/store.h"
 
 namespace grimp {
 namespace {
@@ -44,112 +47,142 @@ std::set<int32_t> GlobalNeighbors(const HeteroGraph& g, int type,
   return out;
 }
 
+// Runs `body` once per store the sampler must be indifferent to: the
+// in-memory single shard, and `g` spilled into 1 and into 4 on-disk shards
+// (a single spilled shard, and cross-shard frontiers).
+void ForEachStore(const HeteroGraph& g,
+                  const std::function<void(const GraphStore*)>& body) {
+  const InMemoryGraphStore in_memory(&g);
+  {
+    SCOPED_TRACE("in-memory store");
+    body(&in_memory);
+  }
+  for (const int shards : {1, 4}) {
+    ShardedGraphStore::Options options;
+    options.num_shards = shards;
+    auto store = ShardedGraphStore::Create(g, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    SCOPED_TRACE(std::to_string(shards) + "-shard store");
+    body(store->get());
+  }
+}
+
 TEST(NeighborSamplerTest, FanoutRespectedPerEdgeType) {
   const HeteroGraph g = HubGraph();
-  NeighborSampler sampler(&g, {3});
-  Rng rng(7);
-  const SampledSubgraph sub = sampler.Sample({0}, &rng);
-  ASSERT_EQ(sub.num_layers(), 1);
-  const GraphBlock& block = sub.blocks[0];
-  EXPECT_EQ(block.num_dst, 1);
-  ASSERT_EQ(block.adjacency.size(), 2u);
-  // Hub type capped at the fanout; sparse type keeps its full degree.
-  EXPECT_EQ(block.adjacency[0].Degree(0), 3);
-  EXPECT_EQ(block.adjacency[1].Degree(0), 2);
+  ForEachStore(g, [&](const GraphStore* store) {
+    NeighborSampler sampler(store, {3});
+    Rng rng(7);
+    const SampledSubgraph sub = sampler.Sample({0}, &rng);
+    ASSERT_EQ(sub.num_layers(), 1);
+    const GraphBlock& block = sub.blocks[0];
+    EXPECT_EQ(block.num_dst, 1);
+    ASSERT_EQ(block.adjacency.size(), 2u);
+    // Hub type capped at the fanout; sparse type keeps its full degree.
+    EXPECT_EQ(block.adjacency[0].Degree(0), 3);
+    EXPECT_EQ(block.adjacency[1].Degree(0), 2);
 
-  // Every sampled neighbor is a true neighbor, with no duplicates.
-  for (int t = 0; t < 2; ++t) {
-    const std::set<int32_t> truth = GlobalNeighbors(g, t, 0);
-    std::set<int32_t> sampled;
-    const auto [b, e] = block.adjacency[t].NeighborRange(0);
-    for (int32_t k = b; k < e; ++k) {
-      const int32_t local = block.adjacency[t].indices()[static_cast<size_t>(k)];
-      ASSERT_GE(local, 0);
-      ASSERT_LT(local, block.num_src);
-      const int32_t global = sub.input_nodes[static_cast<size_t>(local)];
-      EXPECT_TRUE(truth.count(global)) << "type " << t << " node " << global;
-      EXPECT_TRUE(sampled.insert(global).second) << "duplicate " << global;
+    // Every sampled neighbor is a true neighbor, with no duplicates.
+    for (int t = 0; t < 2; ++t) {
+      const std::set<int32_t> truth = GlobalNeighbors(g, t, 0);
+      std::set<int32_t> sampled;
+      const auto [b, e] = block.adjacency[t].NeighborRange(0);
+      for (int32_t k = b; k < e; ++k) {
+        const int32_t local =
+            block.adjacency[t].indices()[static_cast<size_t>(k)];
+        ASSERT_GE(local, 0);
+        ASSERT_LT(local, block.num_src);
+        const int32_t global = sub.input_nodes[static_cast<size_t>(local)];
+        EXPECT_TRUE(truth.count(global)) << "type " << t << " node " << global;
+        EXPECT_TRUE(sampled.insert(global).second) << "duplicate " << global;
+      }
     }
-  }
+  });
 }
 
 TEST(NeighborSamplerTest, LocalRemapIsBijective) {
   const HeteroGraph g = HubGraph();
-  NeighborSampler sampler(&g, {2, 2});
-  Rng rng(11);
-  const SampledSubgraph sub = sampler.Sample({0, 5}, &rng);
-  ASSERT_EQ(sub.num_layers(), 2);
+  ForEachStore(g, [&](const GraphStore* store) {
+    NeighborSampler sampler(store, {2, 2});
+    Rng rng(11);
+    const SampledSubgraph sub = sampler.Sample({0, 5}, &rng);
+    ASSERT_EQ(sub.num_layers(), 2);
 
-  // input_nodes hold distinct globals: local <-> global is a bijection.
-  std::unordered_set<int32_t> uniq(sub.input_nodes.begin(),
-                                   sub.input_nodes.end());
-  EXPECT_EQ(uniq.size(), sub.input_nodes.size());
-  EXPECT_EQ(static_cast<int64_t>(sub.input_nodes.size()),
-            sub.blocks[0].num_src);
+    // input_nodes hold distinct globals: local <-> global is a bijection.
+    std::unordered_set<int32_t> uniq(sub.input_nodes.begin(),
+                                     sub.input_nodes.end());
+    EXPECT_EQ(uniq.size(), sub.input_nodes.size());
+    EXPECT_EQ(static_cast<int64_t>(sub.input_nodes.size()),
+              sub.blocks[0].num_src);
 
-  // Blocks chain: one block's sources are the previous block's inputs.
-  EXPECT_EQ(sub.blocks[0].num_dst, sub.blocks[1].num_src);
-  // The final block's destinations are the seeds, in order.
-  EXPECT_EQ(sub.blocks[1].num_dst, 2);
-  ASSERT_EQ(sub.output_nodes.size(), 2u);
-  EXPECT_EQ(sub.output_nodes[0], 0);
-  EXPECT_EQ(sub.output_nodes[1], 5);
-  // Destinations are a prefix of the first block's sources.
-  EXPECT_EQ(sub.input_nodes[0], 0);
-  EXPECT_EQ(sub.input_nodes[1], 5);
+    // Blocks chain: one block's sources are the previous block's inputs.
+    EXPECT_EQ(sub.blocks[0].num_dst, sub.blocks[1].num_src);
+    // The final block's destinations are the seeds, in order.
+    EXPECT_EQ(sub.blocks[1].num_dst, 2);
+    ASSERT_EQ(sub.output_nodes.size(), 2u);
+    EXPECT_EQ(sub.output_nodes[0], 0);
+    EXPECT_EQ(sub.output_nodes[1], 5);
+    // Destinations are a prefix of the first block's sources.
+    EXPECT_EQ(sub.input_nodes[0], 0);
+    EXPECT_EQ(sub.input_nodes[1], 5);
 
-  // All local indices stay in range for their block.
-  for (const GraphBlock& block : sub.blocks) {
-    for (const CsrAdjacency& adj : block.adjacency) {
-      EXPECT_EQ(adj.num_nodes(), block.num_dst);
-      for (int32_t local : adj.indices()) {
-        EXPECT_GE(local, 0);
-        EXPECT_LT(local, block.num_src);
+    // All local indices stay in range for their block.
+    for (const GraphBlock& block : sub.blocks) {
+      for (const CsrAdjacency& adj : block.adjacency) {
+        EXPECT_EQ(adj.num_nodes(), block.num_dst);
+        for (int32_t local : adj.indices()) {
+          EXPECT_GE(local, 0);
+          EXPECT_LT(local, block.num_src);
+        }
       }
     }
-  }
+  });
 }
 
 TEST(NeighborSamplerTest, DeterministicUnderFixedSeed) {
   const HeteroGraph g = HubGraph();
-  NeighborSampler sampler(&g, {2, 3});
-  Rng rng_a(99), rng_b(99);
-  const SampledSubgraph a = sampler.Sample({0, 3}, &rng_a);
-  const SampledSubgraph b = sampler.Sample({0, 3}, &rng_b);
-  ASSERT_EQ(a.blocks.size(), b.blocks.size());
-  EXPECT_EQ(a.input_nodes, b.input_nodes);
-  EXPECT_EQ(a.output_nodes, b.output_nodes);
-  for (size_t l = 0; l < a.blocks.size(); ++l) {
-    EXPECT_EQ(a.blocks[l].num_src, b.blocks[l].num_src);
-    EXPECT_EQ(a.blocks[l].num_dst, b.blocks[l].num_dst);
-    ASSERT_EQ(a.blocks[l].adjacency.size(), b.blocks[l].adjacency.size());
-    for (size_t t = 0; t < a.blocks[l].adjacency.size(); ++t) {
-      EXPECT_EQ(a.blocks[l].adjacency[t].offsets(),
-                b.blocks[l].adjacency[t].offsets());
-      EXPECT_EQ(a.blocks[l].adjacency[t].indices(),
-                b.blocks[l].adjacency[t].indices());
+  ForEachStore(g, [&](const GraphStore* store) {
+    NeighborSampler sampler(store, {2, 3});
+    Rng rng_a(99), rng_b(99);
+    const SampledSubgraph a = sampler.Sample({0, 3}, &rng_a);
+    const SampledSubgraph b = sampler.Sample({0, 3}, &rng_b);
+    ASSERT_EQ(a.blocks.size(), b.blocks.size());
+    EXPECT_EQ(a.input_nodes, b.input_nodes);
+    EXPECT_EQ(a.output_nodes, b.output_nodes);
+    for (size_t l = 0; l < a.blocks.size(); ++l) {
+      EXPECT_EQ(a.blocks[l].num_src, b.blocks[l].num_src);
+      EXPECT_EQ(a.blocks[l].num_dst, b.blocks[l].num_dst);
+      ASSERT_EQ(a.blocks[l].adjacency.size(), b.blocks[l].adjacency.size());
+      for (size_t t = 0; t < a.blocks[l].adjacency.size(); ++t) {
+        EXPECT_EQ(a.blocks[l].adjacency[t].offsets(),
+                  b.blocks[l].adjacency[t].offsets());
+        EXPECT_EQ(a.blocks[l].adjacency[t].indices(),
+                  b.blocks[l].adjacency[t].indices());
+      }
     }
-  }
+  });
 }
 
 TEST(NeighborSamplerTest, KeepsEverythingWhenFanoutExceedsDegree) {
   const HeteroGraph g = HubGraph();
-  NeighborSampler sampler(&g, {100});
-  Rng rng(1);
-  const SampledSubgraph sub = sampler.Sample({0}, &rng);
-  const GraphBlock& block = sub.blocks[0];
-  EXPECT_EQ(block.adjacency[0].Degree(0), 6);
-  EXPECT_EQ(block.adjacency[1].Degree(0), 2);
-  // With nothing dropped the sampled neighbor sets equal the full ones.
-  for (int t = 0; t < 2; ++t) {
-    std::set<int32_t> sampled;
-    const auto [b, e] = block.adjacency[t].NeighborRange(0);
-    for (int32_t k = b; k < e; ++k) {
-      const int32_t local = block.adjacency[t].indices()[static_cast<size_t>(k)];
-      sampled.insert(sub.input_nodes[static_cast<size_t>(local)]);
+  ForEachStore(g, [&](const GraphStore* store) {
+    NeighborSampler sampler(store, {100});
+    Rng rng(1);
+    const SampledSubgraph sub = sampler.Sample({0}, &rng);
+    const GraphBlock& block = sub.blocks[0];
+    EXPECT_EQ(block.adjacency[0].Degree(0), 6);
+    EXPECT_EQ(block.adjacency[1].Degree(0), 2);
+    // With nothing dropped the sampled neighbor sets equal the full ones.
+    for (int t = 0; t < 2; ++t) {
+      std::set<int32_t> sampled;
+      const auto [b, e] = block.adjacency[t].NeighborRange(0);
+      for (int32_t k = b; k < e; ++k) {
+        const int32_t local =
+            block.adjacency[t].indices()[static_cast<size_t>(k)];
+        sampled.insert(sub.input_nodes[static_cast<size_t>(local)]);
+      }
+      EXPECT_EQ(sampled, GlobalNeighbors(g, t, 0));
     }
-    EXPECT_EQ(sampled, GlobalNeighbors(g, t, 0));
-  }
+  });
 }
 
 TEST(NeighborSamplerTest, IsolatedSeedGetsEmptySegments) {
@@ -158,11 +191,13 @@ TEST(NeighborSamplerTest, IsolatedSeedGetsEmptySegments) {
   std::vector<CsrAdjacency> adj;
   adj.push_back(CsrAdjacency::FromEdges(3, {{1, 2}, {2, 1}}));
   g.SetAdjacency(std::move(adj));
-  NeighborSampler sampler(&g, {4});
-  Rng rng(5);
-  const SampledSubgraph sub = sampler.Sample({0}, &rng);
-  EXPECT_EQ(sub.blocks[0].adjacency[0].Degree(0), 0);
-  EXPECT_EQ(sub.blocks[0].num_src, 1);  // just the seed itself
+  ForEachStore(g, [&](const GraphStore* store) {
+    NeighborSampler sampler(store, {4});
+    Rng rng(5);
+    const SampledSubgraph sub = sampler.Sample({0}, &rng);
+    EXPECT_EQ(sub.blocks[0].adjacency[0].Degree(0), 0);
+    EXPECT_EQ(sub.blocks[0].num_src, 1);  // just the seed itself
+  });
 }
 
 }  // namespace

@@ -344,20 +344,20 @@ TEST(ShardedGraphStoreTest, AutoShardCountScalesWithBudget) {
 // --- MakeGraphStore factory ------------------------------------------------
 
 TEST(MakeGraphStoreTest, InMemoryModeExposesTheFullGraph) {
-  const HeteroGraph g = RingGraph(30, 2);
+  HeteroGraph g = RingGraph(30, 2);
   GraphConfig config;  // defaults: kInMemory
-  auto store = MakeGraphStore(g, config);
+  auto store = MakeGraphStore(&g, config);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->full_graph(), &g);
   EXPECT_EQ((*store)->num_shards(), 1);
 }
 
 TEST(MakeGraphStoreTest, ShardedModeHasNoFullGraph) {
-  const HeteroGraph g = RingGraph(30, 2);
+  HeteroGraph g = RingGraph(30, 2);
   GraphConfig config;
   config.shard_mode = ShardMode::kSharded;
   config.num_shards = 3;
-  auto store = MakeGraphStore(g, config);
+  auto store = MakeGraphStore(&g, config);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->full_graph(), nullptr);
   EXPECT_EQ((*store)->num_shards(), 3);

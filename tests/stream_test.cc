@@ -1,8 +1,8 @@
 // Streaming-layer tests: the LiveGraph maintenance invariant (delta-applied
 // state bit-identical to a from-scratch rebuild), sharded/in-memory store
 // parity under Append, the typed IngestBatch error surface with atomic
-// rejection, streaming inference equality through TransformMany, the
-// fine-tune hot-swap protocol, and concurrent ingest/impute/serve (the
+// rejection, streaming inference equality through TransformMany, typed
+// errors for bad fanouts, the fine-tune hot-swap protocol, and concurrent ingest/impute/serve (the
 // TSan variant in tests/CMakeLists.txt reruns this suite).
 #include <atomic>
 #include <cstring>
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "core/engine.h"
 #include "data/temporal.h"
 #include "embedding/ngram_init.h"
@@ -45,14 +44,6 @@ Table Prefix(const Table& source, int64_t rows) {
     EXPECT_TRUE(out.AppendRow(RowStrings(source, r)).ok());
   }
   return out;
-}
-
-// The feature seed GrimpEngine::Fit derives from options.seed (and
-// LiveGraph::Create replicates).
-uint64_t FeatureSeed(uint64_t seed) {
-  Rng rng(seed);
-  rng.Fork();
-  return rng.Next();
 }
 
 // Neighbor lists of every node under every edge type, read through the
@@ -115,7 +106,7 @@ void ExpectMatchesRebuild(const LiveGraph& live) {
 
   auto features_or = NgramFeatureInit().Init(
       live.table(), rebuilt, live.options().dim,
-      FeatureSeed(live.options().seed));
+      DrawSeedStreams(live.options().seed).features);
   ASSERT_TRUE(features_or.ok()) << features_or.status().ToString();
   ExpectTensorsBitEqual(live.node_features(), features_or->node_features);
 }
@@ -353,7 +344,7 @@ TEST_F(StreamingEngineTest, ImputedWindowsMatchBatchRebuild) {
     ASSERT_TRUE(tg_or.ok());
     auto features_or = NgramFeatureInit().Init(
         live.table(), *tg_or, live.options().dim,
-        FeatureSeed(live.options().seed));
+        DrawSeedStreams(live.options().seed).features);
     ASSERT_TRUE(features_or.ok());
     InMemoryGraphStore store(
         static_cast<const HeteroGraph*>(&tg_or->graph));
@@ -379,6 +370,25 @@ TEST_F(StreamingEngineTest, ImputedWindowsMatchBatchRebuild) {
                                    transform)
                     .ok());
     ExpectTablesEqual(*window_or, window);
+  }
+}
+
+// Both streaming verbs reject a bad fanout list with InvalidArgument
+// instead of aborting: a 0 entry, and lists shorter or longer than the
+// number of GNN layers.
+TEST_F(StreamingEngineTest, BadFanoutsAreInvalidArgument) {
+  for (const std::vector<int>& fanouts :
+       std::vector<std::vector<int>>{{3, 0}, {3}, {3, 3, 3}}) {
+    StreamingOptions options;
+    options.window_rows = 32;
+    options.fanouts = fanouts;
+    auto stream = MakeEngine(options);
+    ASSERT_NE(stream, nullptr);
+    ASSERT_TRUE(stream->IngestBatch(RowBatch(kPrefix, kPrefix + 32)).ok());
+    EXPECT_EQ(stream->ImputeWindow().status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(stream->FineTune().status().code(),
+              StatusCode::kInvalidArgument);
   }
 }
 

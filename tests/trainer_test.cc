@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,37 +126,6 @@ TEST(TrainerTest, SampledLossesIndependentOfThreadCount) {
   }
 }
 
-// Pins GRIMP_PIPELINE for one scope (and restores the suite variant's
-// value after), so these tests control the pipeline depth explicitly even
-// inside the GRIMP_PIPELINE=0/4 ctest variants.
-class ScopedPipelineEnv {
- public:
-  // Pins GRIMP_PIPELINE=depth.
-  explicit ScopedPipelineEnv(int depth) : ScopedPipelineEnv() {
-    setenv("GRIMP_PIPELINE", std::to_string(depth).c_str(), 1);
-  }
-  // Unsets GRIMP_PIPELINE, letting TrainConfig::pipeline_depth decide.
-  ScopedPipelineEnv() {
-    const char* old = std::getenv("GRIMP_PIPELINE");
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    unsetenv("GRIMP_PIPELINE");
-  }
-  ~ScopedPipelineEnv() {
-    if (had_old_) {
-      setenv("GRIMP_PIPELINE", old_.c_str(), 1);
-    } else {
-      unsetenv("GRIMP_PIPELINE");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
 // The tentpole determinism contract: batch contents are a pure function of
 // (seed, epoch, batch id), never of who prepared them, so the async
 // batch-prep pipeline must reproduce the serial path bit for bit — the
@@ -170,9 +138,9 @@ TEST(TrainerTest, SampledBitIdenticalAcrossPipelineDepths) {
     std::vector<std::string> cells;
   };
   auto run = [&](int depth) {
-    ScopedPipelineEnv env(depth);
     GrimpOptions options = SampledOptions();
     options.max_epochs = 8;
+    options.train.pipeline_depth = depth;
     RunOutput out;
     options.callbacks.on_epoch_end = [&out](const EpochStats& stats) {
       out.losses.push_back(stats.train_loss);
@@ -212,10 +180,10 @@ TEST(TrainerTest, SampledBitIdenticalAcrossPipelineDepths) {
 TEST(TrainerTest, PipelinedLossesIndependentOfThreadCount) {
   Table clean = StructuredTable(80);
   const CorruptedTable corrupted = InjectMcar(clean, 0.25, 9);
-  ScopedPipelineEnv env(4);
   auto run = [&](int num_threads) {
     GrimpOptions options = SampledOptions();
     options.max_epochs = 8;
+    options.train.pipeline_depth = 4;
     options.num_threads = num_threads;
     std::vector<double> losses;
     options.callbacks.on_epoch_end = [&losses](const EpochStats& stats) {
@@ -236,8 +204,8 @@ TEST(TrainerTest, PipelinedLossesIndependentOfThreadCount) {
   }
 }
 
-// TrainConfig::pipeline_depth is the config-of-record path (the env var
-// only overrides it); a config-selected depth must train identically too.
+// An odd depth on a smaller table: its imputations must match the serial
+// path's too.
 TEST(TrainerTest, PipelineDepthFromConfigMatchesSerial) {
   Table clean = StructuredTable(60);
   const CorruptedTable corrupted = InjectMcar(clean, 0.25, 4);
@@ -250,8 +218,6 @@ TEST(TrainerTest, PipelineDepthFromConfigMatchesSerial) {
     EXPECT_TRUE(imputed.ok());
     return std::move(*imputed);
   };
-  // Unset the env so the suite variants don't mask the config knob.
-  ScopedPipelineEnv env;
   const Table serial = run(0);
   const Table piped = run(3);
   for (const CellRef& cell : corrupted.missing_cells) {
