@@ -64,7 +64,6 @@ GrimpEngine::GrimpEngine(GrimpOptions options)
   if (options_.num_threads > 0) {
     ThreadPool::SetGlobalThreads(options_.num_threads);
   }
-  ApplySimdChoice(options_.simd);
 }
 
 Status GrimpEngine::CheckSchema(const Table& table) const {
@@ -650,10 +649,8 @@ Status GrimpEngine::TransformStream(Table* window,
   NeighborSampler sampler(
       ctx.store, model_.Fanouts(ctx.fanouts.empty() ? options_.train.fanouts
                                                     : ctx.fanouts));
-  std::vector<int32_t> seed_local(static_cast<size_t>(ctx.store->num_nodes()),
-                                  -1);
-  const PipelineScratch scratch{&sampler, &seed_local};
   PreparedBatch batch;
+  GnnScratch gnn;
   std::vector<GrimpModel::Cell> cells;
   std::vector<GrimpModel::Decision> decisions;
   Tape tape;
@@ -668,10 +665,10 @@ Status GrimpEngine::TransformStream(Table* window,
                              &cells);
     if (cells.empty()) continue;
     Rng rng(MixSeed(options_.seed ^ kStreamSalt, t, ctx.nonce));
-    SampleBatchSeeds(&rng, scratch, &batch);
-    GatherBatchInputs(*ctx.node_features, scratch, &batch);
+    SampleBatchSeeds(&rng, &sampler, &batch);
+    GatherBatchInputs(*ctx.node_features, &batch);
     Tape::VarId h_shared = model_.EncodeBlocks(
-        &tape, tape.Constant(std::move(batch.feats)), batch.sub);
+        &tape, tape.Constant(std::move(batch.feats)), batch.sub, &gnn);
     model_.Decide(&tape, h_shared, t, &batch.local_idx, cells, &decisions);
   }
 

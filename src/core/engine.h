@@ -132,10 +132,12 @@ class GrimpEngine {
   // Tables must not alias each other; schema mismatches fail the whole
   // call (use CheckCompatible to reject individual requests up front).
   //
-  // Thread safety: only model state is shared (tape, graphs and features
-  // are per-call), so any number of calls may run concurrently on one
-  // fitted engine, each bit-identical to a serial run. Fit/Save/Load must
-  // not run concurrently with them.
+  // Thread safety: only model state is shared (tape, graphs, features,
+  // sampler and GNN mask scratch are per-call), so any number of calls —
+  // batch mode and stream mode alike, including stream-mode calls over one
+  // StreamContext — may run concurrently on one fitted engine, each
+  // bit-identical to a serial run. Fit/Resume/Save/Load must not run
+  // concurrently with them.
   Status TransformMany(std::span<Table* const> tables,
                        const TransformOptions& options = {}) const;
 

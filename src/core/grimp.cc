@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/model.h"
-#include "tensor/simd.h"
 
 namespace grimp {
 
@@ -16,7 +15,6 @@ GrimpImputer::GrimpImputer(GrimpOptions options)
   if (options_.num_threads > 0) {
     ThreadPool::SetGlobalThreads(options_.num_threads);
   }
-  ApplySimdChoice(options_.simd);
 }
 
 std::string GrimpImputer::name() const {

@@ -238,8 +238,9 @@ Tape::VarId GrimpModel::Encode(Tape* tape, Tape::VarId feats,
 }
 
 Tape::VarId GrimpModel::EncodeBlocks(Tape* tape, Tape::VarId feats,
-                                     const SampledSubgraph& sub) const {
-  return shared_.Forward(tape, gnn_.ForwardBlocks(tape, feats, sub));
+                                     const SampledSubgraph& sub,
+                                     GnnScratch* scratch) const {
+  return shared_.Forward(tape, gnn_.ForwardBlocks(tape, feats, sub, scratch));
 }
 
 Tape::VarId GrimpModel::HeadForward(Tape* tape, Tape::VarId h_shared,

@@ -111,7 +111,8 @@ class GrimpModel {
   Tape::VarId Encode(Tape* tape, Tape::VarId feats, const HeteroGraph& graph,
                      GnnScratch* scratch = nullptr) const;
   Tape::VarId EncodeBlocks(Tape* tape, Tape::VarId feats,
-                           const SampledSubgraph& sub) const;
+                           const SampledSubgraph& sub,
+                           GnnScratch* scratch = nullptr) const;
   // Task `t`'s head over the rows of `h_shared` gathered by *idx (num_cols
   // node ids per vector; borrowed until the tape resets).
   Tape::VarId HeadForward(Tape* tape, Tape::VarId h_shared, size_t t,

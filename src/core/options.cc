@@ -72,11 +72,6 @@ Status GrimpOptions::Validate() const {
         "GrimpOptions.num_threads must be >= 0, got " +
         std::to_string(num_threads));
   }
-  if (simd != "auto" && simd != "avx2" && simd != "scalar") {
-    return Status::InvalidArgument(
-        "GrimpOptions.simd must be one of auto|avx2|scalar, got \"" + simd +
-        "\"");
-  }
   if (k_strategy == KStrategy::kWeakDiagonalFd && fds.empty()) {
     return Status::InvalidArgument(
         "GrimpOptions.k_strategy=weak_diagonal_fd requires non-empty fds");

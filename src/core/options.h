@@ -144,12 +144,6 @@ struct GrimpOptions {
   // common/thread_pool.h).
   int num_threads = 0;
 
-  // SIMD tier of the tensor kernels: "auto" (CPUID-detected best,
-  // downgradeable via the GRIMP_SIMD env var), "avx2", or "scalar".
-  // Elementwise kernels are bit-identical across tiers; GEMM / softmax /
-  // reductions may differ within AllClose rtol (see tensor/simd.h).
-  std::string simd = "auto";
-
   uint64_t seed = 42;
   bool verbose = false;
 

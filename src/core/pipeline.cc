@@ -63,21 +63,13 @@ BatchPipeline::~BatchPipeline() {
   }
 }
 
-void BatchPipeline::EnsureScratch(NeighborSampler** sampler,
-                                  std::vector<int32_t>** seed_local,
-                                  Producer* self) {
+NeighborSampler* BatchPipeline::SamplerFor(Producer* self) {
   std::unique_ptr<NeighborSampler>& slot =
       self != nullptr ? self->sampler : inline_sampler_;
-  std::vector<int32_t>& remap =
-      self != nullptr ? self->seed_local : inline_seed_local_;
   if (slot == nullptr) {
     slot = std::make_unique<NeighborSampler>(store_, fanouts_);
   }
-  if (static_cast<int64_t>(remap.size()) < store_->num_nodes()) {
-    remap.assign(static_cast<size_t>(store_->num_nodes()), -1);
-  }
-  *sampler = slot.get();
-  *seed_local = &remap;
+  return slot.get();
 }
 
 void BatchPipeline::Begin(int64_t total_batches, PrepareFn prepare) {
@@ -116,9 +108,7 @@ void BatchPipeline::ProducerMain(Producer* self) {
         b % static_cast<int64_t>(slots_.size()))];
     {
       TraceSpan prepare_span("train.pipeline.prepare");
-      PipelineScratch scratch;
-      EnsureScratch(&scratch.sampler, &scratch.seed_local, self);
-      prepare_(b, &slot.batch, scratch);
+      prepare_(b, &slot.batch, SamplerFor(self));
     }
 
     lock.lock();
@@ -140,9 +130,7 @@ PreparedBatch& BatchPipeline::Next() {
     const int64_t k = consume_next_++;
     Slot& slot = slots_[static_cast<size_t>(
         k % static_cast<int64_t>(slots_.size()))];
-    PipelineScratch scratch;
-    EnsureScratch(&scratch.sampler, &scratch.seed_local, nullptr);
-    prepare_(k, &slot.batch, scratch);
+    prepare_(k, &slot.batch, SamplerFor(nullptr));
     metrics.produced.Increment();
     metrics.consumed.Increment();
     return slot.batch;
@@ -193,24 +181,21 @@ void BatchPipeline::End() {
   for (Slot& slot : slots_) slot.ready_batch = -1;
 }
 
-void SampleBatchSeeds(Rng* rng, const PipelineScratch& scratch,
+void SampleBatchSeeds(Rng* rng, NeighborSampler* sampler,
                       PreparedBatch* out) {
-  std::vector<int32_t>& seed_local = *scratch.seed_local;
-  out->seeds.clear();
-  for (const int32_t node : out->local_idx) {
-    if (node < 0) continue;
-    int32_t& slot = seed_local[static_cast<size_t>(node)];
-    if (slot < 0) {
-      slot = static_cast<int32_t>(out->seeds.size());
-      out->seeds.push_back(node);
-    }
+  std::vector<int32_t>& idx = out->local_idx;
+  if (std::none_of(idx.begin(), idx.end(),
+                   [](int32_t node) { return node >= 0; })) {
+    static const std::vector<int32_t> kDummySeed = {0};
+    sampler->Sample(kDummySeed, rng, &out->sub);
+    return;
   }
-  if (out->seeds.empty()) out->seeds.push_back(0);
-  scratch.sampler->Sample(out->seeds, rng, &out->sub);
+  sampler->Sample(idx, rng, &out->sub);
+  std::copy(out->sub.seed_rows.begin(), out->sub.seed_rows.end(),
+            idx.begin());
 }
 
-void GatherBatchInputs(const Tensor& features, const PipelineScratch& scratch,
-                       PreparedBatch* out) {
+void GatherBatchInputs(const Tensor& features, PreparedBatch* out) {
   const std::vector<int32_t>& nodes = out->sub.input_nodes;
   const int64_t dim = features.cols();
   out->feats = Tensor::Uninit(static_cast<int64_t>(nodes.size()), dim);
@@ -225,14 +210,6 @@ void GatherBatchInputs(const Tensor& features, const PipelineScratch& scratch,
                   std::copy(src, src + dim, dst + i * dim);
                 }
               });
-  std::vector<int32_t>& seed_local = *scratch.seed_local;
-  for (int32_t& node : out->local_idx) {
-    node = node < 0 ? -1 : seed_local[static_cast<size_t>(node)];
-  }
-  // (The dummy-seed case clears node 0's slot, which was already -1.)
-  for (const int32_t node : out->seeds) {
-    seed_local[static_cast<size_t>(node)] = -1;
-  }
 }
 
 }  // namespace grimp

@@ -22,9 +22,7 @@ namespace grimp {
 // performs no heap allocations once capacities have grown to the largest
 // batch seen (feats comes from the pooled tensor arena).
 struct PreparedBatch {
-  // The batch's distinct seed nodes in first-seen order (block local ids).
-  std::vector<int32_t> seeds;
-  // Sampled receptive field over the seeds.
+  // Sampled receptive field over the batch's gather rows.
   SampledSubgraph sub;
   // Input features gathered for sub.input_nodes (|input_nodes| x dim).
   Tensor feats;
@@ -35,20 +33,6 @@ struct PreparedBatch {
   // two is filled, matching the task's kind).
   std::vector<int32_t> labels;
   std::vector<float> targets;
-};
-
-// Per-producer scratch handed to every PrepareFn invocation. One instance
-// per pipeline thread (and one for the consumer at depth 0), because a
-// NeighborSampler must not run concurrent Sample calls — its dense remap
-// and vector pool are per-instance state. Sampler scratch never influences
-// sampled content (draws are keyed per (nonce, layer, type, node)), so
-// every producer yields bit-identical batches.
-struct PipelineScratch {
-  // Sampler over the pipeline's store, with the pipeline's fanouts.
-  NeighborSampler* sampler = nullptr;
-  // Dense node -> batch-local slot remap, sized >= store->num_nodes() and
-  // all -1 on entry; the PrepareFn must restore the -1s before returning.
-  std::vector<int32_t>* seed_local = nullptr;
 };
 
 // Bounded-depth asynchronous batch-preparation pipeline (the DGL-style
@@ -88,13 +72,17 @@ struct PipelineScratch {
 // "train.pipeline.prepare" / "train.pipeline.wait" trace spans.
 class BatchPipeline {
  public:
-  // Prepares batch `batch` into *out using *scratch. Must derive all
-  // randomness from `batch` (and state fixed before Begin), never from
-  // shared mutable state — the function runs concurrently on multiple
-  // producer threads for different batch ids.
-  using PrepareFn =
-      std::function<void(int64_t batch, PreparedBatch* out,
-                         const PipelineScratch& scratch)>;
+  // Prepares batch `batch` into *out, sampling with *sampler (a sampler
+  // over the pipeline's store with its fanouts, owned by the calling
+  // producer — or by the pipeline at depth 0 — because a NeighborSampler
+  // must not run concurrent Sample calls). Must derive all randomness from
+  // `batch` (and state fixed before Begin), never from shared mutable
+  // state — the function runs concurrently on multiple producer threads
+  // for different batch ids. Sampler scratch never influences sampled
+  // content (draws are keyed per (nonce, layer, type, node)), so every
+  // producer yields bit-identical batches.
+  using PrepareFn = std::function<void(int64_t batch, PreparedBatch* out,
+                                       NeighborSampler* sampler)>;
 
   // `store` must outlive the pipeline; `fanouts` are the per-layer sampler
   // fanouts (already defaulted by the caller); `depth` is clamped to
@@ -133,22 +121,21 @@ class BatchPipeline {
   };
   struct Producer {
     std::unique_ptr<NeighborSampler> sampler;
-    std::vector<int32_t> seed_local;
     std::thread thread;
   };
 
   void ProducerMain(Producer* self);
-  void EnsureScratch(NeighborSampler** sampler,
-                     std::vector<int32_t>** seed_local, Producer* self);
+  // The calling producer's sampler (the inline one for null), created on
+  // first use.
+  NeighborSampler* SamplerFor(Producer* self);
 
   const int depth_;
   const GraphStore* store_;
   const std::vector<int> fanouts_;
   std::vector<Slot> slots_;         // depth + 1 recycled slots
   std::vector<Producer> producers_;
-  // Depth-0 (inline) scratch, created lazily on first Next().
+  // Depth-0 (inline) sampler, created lazily on first Next().
   std::unique_ptr<NeighborSampler> inline_sampler_;
-  std::vector<int32_t> inline_seed_local_;
 
   std::mutex mu_;
   std::condition_variable producer_cv_;  // producers wait for claimable work
@@ -167,21 +154,17 @@ class BatchPipeline {
 
 // The sampled forward of one batch, in two steps shared by training and
 // streaming inference. SampleBatchSeeds takes the gather rows in
-// out->local_idx (global node ids, -1 == masked cell) and samples their
-// receptive field into out->sub with *rng. Seeds are the distinct nodes in
-// first-seen order (the sampler requires distinct seeds; the order fixes
-// the block's local ids); a batch whose cells are all masked gets the
-// dummy seed 0 so the forward still type-checks. GatherBatchInputs then
-// gathers the field's input features from `features` into a fresh
-// arena-backed out->feats (chunked on the global pool; rows are disjoint,
-// so results are bit-identical at every thread count — and on pipeline
-// producer threads the chunks run inline), rewrites local_idx to
-// block-local ids, and restores the scratch's seed remap to all -1 for its
-// next batch.
-void SampleBatchSeeds(Rng* rng, const PipelineScratch& scratch,
-                      PreparedBatch* out);
-void GatherBatchInputs(const Tensor& features, const PipelineScratch& scratch,
-                       PreparedBatch* out);
+// out->local_idx (global node ids, -1 == masked cell), samples their
+// receptive field into out->sub with *sampler and *rng, and rewrites
+// local_idx to rows of the block output (the sampler's seed_rows). A batch
+// whose cells are all masked samples the dummy seed 0 instead, so the
+// forward still type-checks. GatherBatchInputs then gathers the field's
+// input features from `features` into a fresh arena-backed out->feats
+// (chunked on the global pool; rows are disjoint, so results are
+// bit-identical at every thread count — and on pipeline producer threads
+// the chunks run inline).
+void SampleBatchSeeds(Rng* rng, NeighborSampler* sampler, PreparedBatch* out);
+void GatherBatchInputs(const Tensor& features, PreparedBatch* out);
 
 }  // namespace grimp
 

@@ -61,7 +61,8 @@ double Trainer::RunFullPass(Adam* opt, double* val_loss_sum, bool* has_val,
   tape_.Reset();  // reuse node slots from the previous epoch
   Tape& tape = tape_;
   Tape::VarId h_shared = model_->Encode(
-      &tape, tape.Constant(*node_features_), *store_->full_graph());
+      &tape, tape.Constant(*node_features_), *store_->full_graph(),
+      &gnn_scratch_);
 
   Tape::VarId total_loss = -1;
   for (size_t t = 0; t < tasks_.size(); ++t) {
@@ -113,7 +114,7 @@ void Trainer::EnsurePipeline() {
 
 void Trainer::PrepareBatch(const BatchPlan& plan, bool validation,
                            PreparedBatch* out,
-                           const PipelineScratch& scratch) const {
+                           NeighborSampler* sampler) const {
   const TrainTask& task = tasks_[static_cast<size_t>(plan.task)];
   const std::vector<int32_t>& task_idx =
       validation ? task.val_idx : task.train_idx;
@@ -123,11 +124,11 @@ void Trainer::PrepareBatch(const BatchPlan& plan, bool validation,
   out->local_idx.assign(idx, idx + idx_len);
   Rng rng(plan.seed);
   TraceSpan sample_span("train.sample");
-  SampleBatchSeeds(&rng, scratch, out);
+  SampleBatchSeeds(&rng, sampler, out);
   sample_span.Stop();
   // Gather the receptive field's input features into a compact matrix.
   TraceSpan gather_span("train.gather");
-  GatherBatchInputs(*node_features_, scratch, out);
+  GatherBatchInputs(*node_features_, out);
   gather_span.Stop();
 
   if (task.categorical) {
@@ -186,9 +187,9 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
   pipeline_->Begin(
       static_cast<int64_t>(plans_.size()),
       [this, validation](int64_t b, PreparedBatch* out,
-                         const PipelineScratch& scratch) {
+                         NeighborSampler* sampler) {
         PrepareBatch(plans_[static_cast<size_t>(b)], validation, out,
-                     scratch);
+                     sampler);
       });
   double loss_sum = 0.0;
   int current_task = plans_.front().task;
@@ -217,7 +218,8 @@ double Trainer::RunSampledPass(int epoch, Adam* opt, bool* ran) {
 
     Tape& tape = tape_;
     Tape::VarId h_shared = model_->EncodeBlocks(
-        &tape, tape.Constant(std::move(batch.feats)), batch.sub);
+        &tape, tape.Constant(std::move(batch.feats)), batch.sub,
+        &gnn_scratch_);
     // Borrowing overloads: the index/label/target buffers live in the
     // pipeline slot, alive until the next batch's Reset + Next() — no
     // per-step copies.

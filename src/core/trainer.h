@@ -6,6 +6,7 @@
 
 #include "core/options.h"
 #include "core/pipeline.h"
+#include "gnn/hetero_sage.h"
 #include "graph/store.h"
 #include "tensor/nn.h"
 
@@ -137,13 +138,13 @@ class Trainer {
   // options_.train.pipeline_depth with the run's fanouts (depth 0 == the
   // serial path, inline in Next()).
   void EnsurePipeline();
-  // Prepares one batch per its plan: seed dedup in first-seen order,
-  // neighbor sampling (which prefetches/pins the touched shards), feature
-  // gather into arena scratch, gather-index remap, and label/target
-  // slicing. Runs on pipeline producer threads — must touch no Trainer
+  // Prepares one batch per its plan: neighbor sampling over the batch's
+  // gather rows (which prefetches/pins the touched shards and remaps the
+  // rows to block-local ids), feature gather into arena scratch, and
+  // label/target slicing. Runs on pipeline producer threads — must touch no Trainer
   // state that mutates during an epoch.
   void PrepareBatch(const BatchPlan& plan, bool validation,
-                    PreparedBatch* out, const PipelineScratch& scratch) const;
+                    PreparedBatch* out, NeighborSampler* sampler) const;
 
   const GrimpOptions& options_;
   const GraphStore* store_;
@@ -155,6 +156,9 @@ class Trainer {
   // Reused across every epoch / batch / validation pass (Tape::Reset keeps
   // the node slots), so steady-state steps run without tape allocations.
   Tape tape_;
+  // The GNN's mask scratch for full and sampled passes alike: refilled in
+  // place once tape_.Reset has dropped the previous step's references.
+  GnnScratch gnn_scratch_;
   // Sampled-mode batch preparation (core/pipeline.h): the pipeline owns
   // per-producer samplers and depth+1 recycled batch slots, so steady-state
   // steps still perform no heap allocations; plans_ is rebuilt per epoch /

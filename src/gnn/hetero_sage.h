@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -14,12 +13,14 @@
 
 namespace grimp {
 
-// Caller-owned reusable mask storage for one HeteroSageLayer forward.
-// Serving keeps one per worker thread: per-request union graphs get a
-// fresh uid every time, so the layer's uid-keyed mask cache can never hit
-// for them — passing a scratch instead refills these buffers in place
-// (zero steady-state allocations) without racing other threads the way
-// the layer's internal sampled-path scratch would.
+// Caller-owned reusable mask storage for HeteroSageLayer forwards: the
+// per-type participation masks and the 1/#incident-types normalizer, which
+// every forward refills from its graph's adjacency. Whoever runs forwards
+// owns one (the trainer next to its tape, serving one per worker thread,
+// a streaming window one per call), so concurrent forwards over one layer
+// never share a buffer. Once the previous step's tape is Reset its RowScale
+// closures drop their references and the buffers are refilled in place
+// instead of reallocated.
 struct SageScratch {
   std::vector<std::shared_ptr<std::vector<float>>> masks;
   std::shared_ptr<std::vector<float>> inv_counts;
@@ -27,7 +28,8 @@ struct SageScratch {
   std::vector<const CsrAdjacency*> adjacency;
 };
 
-// One SageScratch per layer of a HeteroGnn (sized lazily by Forward).
+// One SageScratch per layer of a HeteroGnn (sized lazily by Forward and
+// ForwardBlocks).
 struct GnnScratch {
   std::vector<SageScratch> layers;
 };
@@ -65,9 +67,10 @@ class SageSubmodule {
 // its convolution exclusively on nodes connected by edges of the type it
 // pertains to".
 //
-// The layer owns only weights; the graph is passed to Forward. This keeps
-// GRIMP inductive (paper §3.4): weights trained on one table's graph can
-// run message passing over another table with the same schema.
+// The layer owns only weights; the graph and the mask scratch are passed to
+// each forward. This keeps GRIMP inductive (paper §3.4): weights trained on
+// one table's graph can run message passing over another table with the
+// same schema, from any number of threads at once.
 class HeteroSageLayer {
  public:
   HeteroSageLayer() = default;
@@ -75,9 +78,8 @@ class HeteroSageLayer {
                   int64_t out_dim, Rng* rng);
 
   // `graph.num_edge_types()` must equal the layer's submodule count.
-  // `scratch` (optional) supplies caller-owned mask storage and bypasses
-  // the uid-keyed mask cache — the right trade for throwaway per-request
-  // graphs whose uid would never hit anyway. Results are bit-identical
+  // `scratch` (optional) supplies caller-owned mask storage; without one
+  // the masks live in a call-local scratch. Results are bit-identical
   // either way.
   Tape::VarId Forward(Tape* tape, Tape::VarId h, const HeteroGraph& graph,
                       SageScratch* scratch = nullptr) const;
@@ -87,55 +89,22 @@ class HeteroSageLayer {
   // prefix of `h` (see GraphBlock); masks and the 1/#incident-types
   // normalizer come from the block's degrees, which agree with the full
   // graph's participation pattern because the sampler keeps at least one
-  // neighbor wherever the full graph has one.
-  Tape::VarId ForwardBlock(Tape* tape, Tape::VarId h,
-                           const GraphBlock& block) const;
+  // neighbor wherever the full graph has one. `scratch` as in Forward.
+  Tape::VarId ForwardBlock(Tape* tape, Tape::VarId h, const GraphBlock& block,
+                           SageScratch* scratch = nullptr) const;
 
   void CollectParameters(std::vector<Parameter*>* out);
   int64_t NumParameters() const;
 
  private:
-  // Participation masks + 1/#incident-types normalizer derived from one
-  // graph's adjacency. Immutable once published; RowScale holds shared_ptr
-  // references so concurrent cache replacement can never free live data.
-  struct MaskCache {
-    uint64_t graph_uid = 0;
-    int64_t num_dst = 0;
-    std::vector<std::shared_ptr<const std::vector<float>>> masks;
-    std::shared_ptr<const std::vector<float>> inv_counts;
-  };
-  // Held behind a unique_ptr so the layer stays movable (std::mutex is
-  // not). Serving runs concurrent inference over one layer, so cache reads
-  // and swaps are mutex-guarded (same hazard PR 3 fixed in the attention
-  // head's capture cache).
-  struct CacheSlot {
-    std::mutex mu;
-    std::shared_ptr<const MaskCache> cached;
-  };
   // Shared core of Forward/ForwardBlock: per-type convolution + masked
   // mean over `num_dst` output rows, with one CSR per edge type (full
-  // graph or block). `cache_uid` keys the mask cache: the owning graph's
-  // uid for full-graph forwards (reused across epochs on an unchanged
-  // graph), 0 for sampled blocks (fresh adjacency every batch, so caching
-  // could only ever alias stale heap addresses). A non-null `scratch`
-  // bypasses the cache and refills the caller's buffers instead (see
-  // SageScratch); with both null/0, the layer's internal block scratch is
-  // used (driver-thread only).
-  Tape::VarId ForwardImpl(
-      Tape* tape, Tape::VarId h_dst, Tape::VarId h_src, int64_t num_dst,
-      const std::vector<const CsrAdjacency*>& adjacency,
-      uint64_t cache_uid, SageScratch* scratch) const;
+  // graph or block, listed in scratch->adjacency). The masks are refilled
+  // into *scratch on every call.
+  Tape::VarId ForwardImpl(Tape* tape, Tape::VarId h_dst, Tape::VarId h_src,
+                          int64_t num_dst, SageScratch* scratch) const;
 
   std::vector<SageSubmodule> submodules_;
-  mutable std::unique_ptr<CacheSlot> cache_slot_ =
-      std::make_unique<CacheSlot>();
-  // Internal scratch for sampled blocks: block masks are rebuilt every
-  // batch, but once the previous step's tape is Reset the RowScale
-  // closures drop their references and use_count() falls back to 1, so the
-  // same vectors are refilled instead of reallocated. Sampled forwards run
-  // only on the trainer's driver thread; concurrent serving passes its own
-  // per-thread SageScratch and never touches this one.
-  mutable SageScratch block_scratch_;
 };
 
 // The paper's default GNN: a 2-layer heterogeneous GraphSAGE stack with
@@ -147,9 +116,8 @@ class HeteroGnn {
             int64_t out_dim, int num_layers, Rng* rng);
 
   // `features` is a Constant/Leaf var of shape num_nodes x in_dim.
-  // `scratch` (optional) forwards per-layer mask scratch to every layer —
-  // the serving path's alternative to the uid-keyed mask cache (see
-  // SageScratch); sized lazily to num_layers().
+  // `scratch` (optional) forwards per-layer mask scratch to every layer
+  // (see SageScratch); sized lazily to num_layers().
   Tape::VarId Forward(Tape* tape, Tape::VarId features,
                       const HeteroGraph& graph,
                       GnnScratch* scratch = nullptr) const;
@@ -157,8 +125,10 @@ class HeteroGnn {
   // Sampled-minibatch forward over a block sequence (blocks.size() must
   // equal num_layers()): `features` holds the rows of
   // subgraph.input_nodes; the result has one row per output node (seed).
+  // `scratch` as in Forward.
   Tape::VarId ForwardBlocks(Tape* tape, Tape::VarId features,
-                            const SampledSubgraph& subgraph) const;
+                            const SampledSubgraph& subgraph,
+                            GnnScratch* scratch = nullptr) const;
 
   void CollectParameters(std::vector<Parameter*>* out);
   int64_t NumParameters() const;

@@ -36,6 +36,24 @@ struct GraphDelta {
   }
 };
 
+// The one sorted-run CSR merge behind MergeAdjacencyDelta and the shard
+// builders (GraphShard::Patched / ::FromSortedEdges). Writes the CSR rows
+// of nodes [begin, end) into *offsets (end - begin + 1 entries, the first
+// 0) and *indices: node v's neighbor list is the ascending merge of its
+// base run and its edges in `sorted_edges`. The base covers nodes
+// [begin, begin + base_nodes) with base_offsets[v - begin] indexing
+// base_indices after subtracting base_offsets[0] (a shard slice's global
+// offsets); later nodes get their extra edges only, and base_nodes == 0 is
+// the empty base. Preconditions: base runs ascending, `sorted_edges`
+// sorted by (src, dst) with every src in [begin, end), no duplicate edges.
+// Nodes before the next extra edge's source keep their base runs verbatim
+// through one bulk copy (deltas touch a small fraction of the nodes).
+void MergeSortedRuns(
+    int64_t begin, int64_t end, const int32_t* base_offsets,
+    const int32_t* base_indices, int64_t base_nodes,
+    const std::vector<std::pair<int32_t, int32_t>>& sorted_edges,
+    std::vector<int32_t>* offsets, std::vector<int32_t>* indices);
+
 // Merges one edge type's sorted delta run into its base CSR: node v's new
 // neighbor list is the ascending merge of its base list and its delta
 // edges; nodes in [base.num_nodes(), new_num_nodes) get their delta edges

@@ -100,38 +100,6 @@ class CsrAdjacency {
 // following GraphSAGE).
 class HeteroGraph {
  public:
-  HeteroGraph() : uid_(NextUid()) {}
-  // Copies get a fresh uid (conservative: a copy is a distinct cache key);
-  // moves keep the uid because the adjacency they identify moves along.
-  HeteroGraph(const HeteroGraph& other)
-      : uid_(NextUid()), nodes_(other.nodes_), adjacency_(other.adjacency_) {}
-  HeteroGraph& operator=(const HeteroGraph& other) {
-    if (this == &other) return *this;
-    uid_ = NextUid();
-    nodes_ = other.nodes_;
-    adjacency_ = other.adjacency_;
-    return *this;
-  }
-  HeteroGraph(HeteroGraph&& other) noexcept
-      : uid_(other.uid_), nodes_(std::move(other.nodes_)),
-        adjacency_(std::move(other.adjacency_)) {
-    other.uid_ = NextUid();
-  }
-  HeteroGraph& operator=(HeteroGraph&& other) noexcept {
-    if (this == &other) return *this;
-    uid_ = other.uid_;
-    nodes_ = std::move(other.nodes_);
-    adjacency_ = std::move(other.adjacency_);
-    other.uid_ = NextUid();
-    return *this;
-  }
-
-  // Process-unique id of this graph's current structure. Changes whenever
-  // the adjacency may have changed (SetAdjacency, copy-from), never reused
-  // by another graph — safe to key structure-derived caches on (see
-  // HeteroSageLayer's participation-mask cache).
-  uint64_t uid() const { return uid_; }
-
   int64_t num_nodes() const { return static_cast<int64_t>(nodes_.size()); }
   int num_edge_types() const { return static_cast<int>(adjacency_.size()); }
 
@@ -160,15 +128,13 @@ class HeteroGraph {
   }
   void SetAdjacency(std::vector<CsrAdjacency> adjacency) {
     adjacency_ = std::move(adjacency);
-    uid_ = NextUid();  // structure changed; invalidate derived caches
   }
 
   // Rewinds to an empty graph for in-place rebuilding (per-request serving
   // graphs), keeping the node vector's capacity. CSR arrays are released
   // into `recycle` and the emptied adjacency vector moved into
   // `adjacency_recycle` (both optional) so the next build can adopt the
-  // storage instead of reallocating. The graph gets a fresh uid: reusing
-  // storage must never revive a structure-derived cache entry.
+  // storage instead of reallocating.
   void Reset(CsrAdjacency::Scratch* recycle,
              std::vector<CsrAdjacency>* adjacency_recycle) {
     nodes_.clear();
@@ -186,13 +152,9 @@ class HeteroGraph {
       *adjacency_recycle = std::move(adjacency_);
       adjacency_.clear();
     }
-    uid_ = NextUid();
   }
 
  private:
-  static uint64_t NextUid();
-
-  uint64_t uid_;
   std::vector<NodeInfo> nodes_;
   std::vector<CsrAdjacency> adjacency_;
 };

@@ -104,12 +104,27 @@ void NeighborSampler::Sample(const std::vector<int32_t>& seeds, Rng* rng,
     out->blocks.resize(static_cast<size_t>(num_layers));
   }
   Recycle(std::move(out->input_nodes));
-  out->output_nodes = seeds;  // copy-assign reuses capacity
 
-  // Sample outermost layer first: its destinations are the seeds, and each
-  // pass's source set becomes the next (inner) pass's destination set.
+  // Sample outermost layer first: its destinations are the distinct seeds
+  // in first-seen order, and each pass's source set becomes the next
+  // (inner) pass's destination set. Registering the seeds here sets up the
+  // loop invariant: on entry to every layer, local_id_ maps exactly the
+  // frontier `cur`, cur[i] -> i.
   std::vector<int32_t> cur = TakeVec();
-  cur.assign(seeds.begin(), seeds.end());
+  out->seed_rows.clear();  // keeps capacity
+  for (const int32_t node : seeds) {
+    if (node < 0) {
+      out->seed_rows.push_back(-1);
+      continue;
+    }
+    int32_t& slot = local_id_[static_cast<size_t>(node)];
+    if (slot < 0) {
+      slot = static_cast<int32_t>(cur.size());
+      cur.push_back(node);
+    }
+    out->seed_rows.push_back(slot);
+  }
+  out->output_nodes.assign(cur.begin(), cur.end());
 
   // Per-shard frontier grouping scratch (recycled across layers).
   std::vector<int32_t> shard_of = TakeVec();
@@ -182,16 +197,11 @@ void NeighborSampler::Sample(const std::vector<int32_t>& seeds, Rng* rng,
     }
 
     // Pass 2: assemble the block in canonical (type, destination, draw)
-    // order. Local ids: destinations first (in `cur` order), then drawn
-    // neighbors in first-touch order — independent of how pass 1 grouped
-    // the work.
+    // order. Local ids: destinations first (in `cur` order, already
+    // registered), then drawn neighbors in first-touch order — independent
+    // of how pass 1 grouped the work.
     std::vector<int32_t> src = TakeVec();
     src.assign(cur.begin(), cur.end());
-    for (size_t i = 0; i < cur.size(); ++i) {
-      int32_t& slot = local_id_[static_cast<size_t>(cur[i])];
-      GRIMP_CHECK_EQ(slot, -1);  // seeds / frontier must be distinct
-      slot = static_cast<int32_t>(i);
-    }
     for (int t = 0; t < num_types; ++t) {
       std::vector<int32_t> offsets = TakeVec();
       offsets.push_back(0);
@@ -218,12 +228,12 @@ void NeighborSampler::Sample(const std::vector<int32_t>& seeds, Rng* rng,
     }
 
     block.num_src = static_cast<int64_t>(src.size());
-    // Clear the remap for the next layer (which re-registers the new
-    // frontier) or for the next Sample call.
-    for (int32_t g : src) local_id_[static_cast<size_t>(g)] = -1;
+    // src[i] -> i is already the next layer's frontier registration.
     std::swap(cur, src);
     Recycle(std::move(src));  // the previous frontier's storage
   }
+  // Clear the remap for the next Sample call.
+  for (const int32_t g : cur) local_id_[static_cast<size_t>(g)] = -1;
 
   Recycle(std::move(shard_of));
   Recycle(std::move(shard_start));

@@ -29,12 +29,15 @@ struct GraphBlock {
 // The result of sampling one minibatch's receptive field: `blocks` in
 // input -> output order (blocks[l] feeds GNN layer l), the global node ids
 // whose features seed blocks.front() (`input_nodes`, one per source row),
-// and the global ids the final block's destination rows stand for
-// (`output_nodes` == the seeds, in the order they were given).
+// the global ids the final block's destination rows stand for
+// (`output_nodes`: the distinct seeds in first-seen order), and each seed
+// entry's row among them (`seed_rows[i]` for seeds[i], -1 where seeds[i]
+// is -1).
 struct SampledSubgraph {
   std::vector<GraphBlock> blocks;
   std::vector<int32_t> input_nodes;
   std::vector<int32_t> output_nodes;
+  std::vector<int32_t> seed_rows;
 
   int num_layers() const { return static_cast<int>(blocks.size()); }
 };
@@ -57,19 +60,22 @@ struct SampledSubgraph {
 // graph, the seeds and the caller's Rng state, bit-identical across thread
 // counts, shard counts, and store implementations.
 //
-// The sampler keeps internal scratch (a dense node->local-id remap and a
-// pool of recycled index vectors) so that steady-state Sample calls into a
-// reused SampledSubgraph perform no heap allocations. Consequence: one
-// sampler instance must not run concurrent Sample calls (the trainer
-// samples on its driver thread, which also keeps the blocks deterministic).
+// The sampler keeps internal scratch (the dense node->local-id remap, the
+// only one on the sampled path, and a pool of recycled index vectors) so
+// that steady-state Sample calls into a reused SampledSubgraph perform no
+// heap allocations. Consequence: one sampler instance must not run
+// concurrent Sample calls (each pipeline producer and each streaming
+// window owns its own).
 class NeighborSampler {
  public:
   // `store` must outlive the sampler. fanouts[l] > 0 applies to GNN layer
   // l; fanouts.size() is the number of blocks Sample produces.
   NeighborSampler(const GraphStore* store, std::vector<int> fanouts);
 
-  // Seeds must be distinct, valid node ids (callers dedup while building
-  // the batch). Each call advances *rng deterministically.
+  // Seeds are valid node ids or -1, repeats allowed: a batch's gather row
+  // can be passed as is. The distinct seeds, in first-seen order, become
+  // the final block's destinations (SampledSubgraph::output_nodes and
+  // ::seed_rows). Each call advances *rng deterministically.
   SampledSubgraph Sample(const std::vector<int32_t>& seeds, Rng* rng) const;
 
   // Recycling overload: scavenges *out's existing storage (blocks,

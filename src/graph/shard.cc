@@ -1,6 +1,7 @@
 #include "graph/shard.h"
 
 #include "common/binary_io.h"
+#include "graph/delta.h"
 
 namespace grimp {
 
@@ -48,73 +49,38 @@ GraphShard GraphShard::Slice(const HeteroGraph& graph, int64_t begin,
   return shard;
 }
 
-GraphShard GraphShard::FromSortedEdges(
-    int64_t begin, int64_t end, int num_types,
-    const std::vector<std::vector<std::pair<int32_t, int32_t>>>& edges) {
+GraphShard GraphShard::Merged(
+    int64_t begin, int64_t end, const GraphShard* base, int num_types,
+    const std::vector<std::vector<std::pair<int32_t, int32_t>>>& runs) {
   GRIMP_CHECK(begin >= 0 && begin <= end);
-  GRIMP_CHECK_EQ(static_cast<int64_t>(edges.size()),
+  GRIMP_CHECK_EQ(static_cast<int64_t>(runs.size()),
                  static_cast<int64_t>(num_types));
   GraphShard shard;
   shard.begin_ = begin;
   shard.end_ = end;
-  shard.owned_.reserve(static_cast<size_t>(num_types) * 2);
+  shard.owned_.resize(static_cast<size_t>(num_types) * 2);
+  const TypeSlice no_base;
   for (int t = 0; t < num_types; ++t) {
-    const auto& run = edges[static_cast<size_t>(t)];
-    std::vector<int32_t> offsets;
-    offsets.reserve(static_cast<size_t>(end - begin) + 1);
-    std::vector<int32_t> indices;
-    indices.reserve(run.size());
-    size_t d = 0;
-    offsets.push_back(0);
-    for (int64_t v = begin; v < end; ++v) {
-      while (d < run.size() && run[d].first == v) {
-        indices.push_back(run[d++].second);
-      }
-      offsets.push_back(static_cast<int32_t>(indices.size()));
-    }
-    GRIMP_CHECK_EQ(static_cast<int64_t>(d), static_cast<int64_t>(run.size()));
-    shard.owned_.push_back(std::move(offsets));
-    shard.owned_.push_back(std::move(indices));
+    const size_t i = static_cast<size_t>(t);
+    const TypeSlice& s = base != nullptr ? base->slices_[i] : no_base;
+    MergeSortedRuns(begin, end, s.offsets, s.indices,
+                    base != nullptr ? end - begin : 0, runs[i],
+                    &shard.owned_[2 * i], &shard.owned_[2 * i + 1]);
   }
   shard.RebindOwned();
   return shard;
 }
 
+GraphShard GraphShard::FromSortedEdges(
+    int64_t begin, int64_t end, int num_types,
+    const std::vector<std::vector<std::pair<int32_t, int32_t>>>& edges) {
+  return Merged(begin, end, nullptr, num_types, edges);
+}
+
 GraphShard GraphShard::Patched(
     const GraphShard& base,
     const std::vector<std::vector<std::pair<int32_t, int32_t>>>& extra) {
-  GRIMP_CHECK_EQ(static_cast<int64_t>(extra.size()),
-                 static_cast<int64_t>(base.num_edge_types()));
-  GraphShard shard;
-  shard.begin_ = base.begin_;
-  shard.end_ = base.end_;
-  shard.owned_.reserve(extra.size() * 2);
-  for (int t = 0; t < base.num_edge_types(); ++t) {
-    const auto& run = extra[static_cast<size_t>(t)];
-    std::vector<int32_t> offsets;
-    offsets.reserve(static_cast<size_t>(base.end_ - base.begin_) + 1);
-    std::vector<int32_t> indices;
-    size_t d = 0;
-    offsets.push_back(0);
-    for (int64_t v = base.begin_; v < base.end_; ++v) {
-      auto [b, e] = base.Neighbors(t, v);
-      while (b != e || (d < run.size() && run[d].first == v)) {
-        const bool extra_here = d < run.size() && run[d].first == v;
-        if (b == e || (extra_here && run[d].second < *b)) {
-          GRIMP_DCHECK(extra_here);
-          indices.push_back(run[d++].second);
-        } else {
-          indices.push_back(*b++);
-        }
-      }
-      offsets.push_back(static_cast<int32_t>(indices.size()));
-    }
-    GRIMP_CHECK_EQ(static_cast<int64_t>(d), static_cast<int64_t>(run.size()));
-    shard.owned_.push_back(std::move(offsets));
-    shard.owned_.push_back(std::move(indices));
-  }
-  shard.RebindOwned();
-  return shard;
+  return Merged(base.begin_, base.end_, &base, base.num_edge_types(), extra);
 }
 
 void GraphShard::RebindOwned() {

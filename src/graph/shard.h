@@ -33,8 +33,8 @@ class GraphShard {
   GraphShard& operator=(const GraphShard&) = delete;
 
   // Zero-copy view of a whole graph as a single shard. `graph` must
-  // outlive the shard and keep its adjacency unchanged (track uid() if in
-  // doubt — that is the contract structure caches key on).
+  // outlive the shard and keep its adjacency unchanged (a SetAdjacency
+  // invalidates the view; InMemoryGraphStore::Append re-views after one).
   static GraphShard View(const HeteroGraph& graph);
 
   // Owned copy of [begin, end)'s rows of every edge type.
@@ -110,6 +110,11 @@ class GraphShard {
   // owned_[2 * t + 1] its indices. Empty for views.
   std::vector<std::vector<int32_t>> owned_;
 
+  // Owned shard over [begin, end) whose type-t rows are `base`'s (null:
+  // none) merged with runs[t] (see MergeSortedRuns in graph/delta.h).
+  static GraphShard Merged(
+      int64_t begin, int64_t end, const GraphShard* base, int num_types,
+      const std::vector<std::vector<std::pair<int32_t, int32_t>>>& runs);
   void RebindOwned();
 };
 

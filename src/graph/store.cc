@@ -120,7 +120,7 @@ Status InMemoryGraphStore::Append(const GraphDelta& delta) {
                                          delta.new_num_nodes,
                                          delta.edges[static_cast<size_t>(t)]));
   }
-  mutable_graph_->SetAdjacency(std::move(merged));  // fresh uid
+  mutable_graph_->SetAdjacency(std::move(merged));
   shard_ = GraphShard::View(*mutable_graph_);
   return Status::OK();
 }
@@ -254,6 +254,18 @@ int ShardedGraphStore::ShardOf(int64_t node) const {
   return static_cast<int>(it - boundaries_.begin()) - 1;
 }
 
+GraphShard ShardedGraphStore::LoadShard(const ShardState& state) {
+  Result<GraphShard> loaded = GraphShard::ReadFrom(state.path);
+  GRIMP_CHECK(loaded.ok()) << "shard load failed: "
+                           << loaded.status().ToString();
+  // Appended edges live in the patch until the file is rewritten; merge
+  // them on every load. (Reading state.patch unlocked is safe: Append is
+  // serialized against loads by the streaming engine, and refuses to run
+  // while any shard is kLoading.)
+  if (state.patch.empty()) return std::move(loaded).ValueOrDie();
+  return GraphShard::Patched(*loaded, state.patch);
+}
+
 ShardScope ShardedGraphStore::Acquire(int s) const {
   GRIMP_CHECK(s >= 0 && s < num_shards());
   std::unique_lock<std::mutex> lock(mu_);
@@ -279,17 +291,7 @@ ShardScope ShardedGraphStore::Acquire(int s) const {
     FetchCounter().Increment();
     PublishGauges();
     lock.unlock();
-    Result<GraphShard> loaded = GraphShard::ReadFrom(state.path);
-    GRIMP_CHECK(loaded.ok()) << "shard load failed: "
-                             << loaded.status().ToString();
-    GraphShard shard = std::move(loaded).ValueOrDie();
-    // Appended edges live in the patch until the file is rewritten; merge
-    // them on every load. (Reading state.patch unlocked is safe: Append is
-    // serialized against loads by the streaming engine, and refuses to run
-    // while any shard is kLoading.)
-    if (!state.patch.empty()) {
-      shard = GraphShard::Patched(shard, state.patch);
-    }
+    GraphShard shard = LoadShard(state);
     lock.lock();
     state.shard = std::move(shard);
     state.state = State::kResident;
@@ -350,13 +352,7 @@ void ShardedGraphStore::Prefetch(const std::vector<int>& shards) const {
         for (int64_t i = lo; i < hi; ++i) {
           const int s = to_load[static_cast<size_t>(i)];
           ShardState& state = states_[static_cast<size_t>(s)];
-          Result<GraphShard> loaded = GraphShard::ReadFrom(state.path);
-          GRIMP_CHECK(loaded.ok()) << "shard load failed: "
-                                   << loaded.status().ToString();
-          GraphShard shard = std::move(loaded).ValueOrDie();
-          if (!state.patch.empty()) {
-            shard = GraphShard::Patched(shard, state.patch);
-          }
+          GraphShard shard = LoadShard(state);
           {
             std::lock_guard<std::mutex> lock(mu_);
             state.shard = std::move(shard);

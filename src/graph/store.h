@@ -242,6 +242,9 @@ class ShardedGraphStore final : public GraphStore {
 
   ShardedGraphStore() = default;
   void Release(int s) const override;
+  // Reads the shard's file (CHECK-failing on a bad file, which Create or
+  // Append wrote) and applies its patch. Runs outside mu_.
+  static GraphShard LoadShard(const ShardState& state);
   // Evicts unpinned shards (LRU first) until `need` more bytes fit under
   // the budget or nothing evictable remains. Caller holds mu_.
   void EvictForLocked(int64_t need, int except) const;

@@ -1,7 +1,7 @@
 // Runtime SIMD dispatch. The level is resolved exactly once (CPUID plus the
 // GRIMP_SIMD env knob) and stored as one atomic table pointer; every kernel
-// call site does a single relaxed load. SetSimdLevel/ApplySimdChoice swap
-// the pointer between kernel invocations (tests, GrimpOptions plumbing).
+// call site does a single relaxed load. SetSimdLevel swaps the pointer
+// between kernel invocations (tests, benchmarks).
 
 #include "tensor/simd.h"
 
@@ -149,19 +149,6 @@ bool ParseSimdChoice(const std::string& choice, SimdLevel* level,
     return true;
   }
   return false;
-}
-
-void ApplySimdChoice(const std::string& choice) {
-  SimdLevel level;
-  bool is_auto = false;
-  if (!ParseSimdChoice(choice, &level, &is_auto)) return;
-  if (is_auto) {
-    // Re-resolve from the environment so GRIMP_SIMD=scalar still wins over
-    // an options default of "auto".
-    simd::ResolveOnce();
-    return;
-  }
-  SetSimdLevel(level);
 }
 
 }  // namespace grimp

@@ -6,10 +6,11 @@
 
 namespace grimp {
 
-// Instruction-set tier of the tensor kernels. Resolved once per process
-// (CPUID + the GRIMP_SIMD env knob) and overridable at runtime via
-// SetSimdLevel / GrimpOptions::simd; every kernel call reads the active
-// table through one atomic pointer load.
+// Instruction-set tier of the tensor kernels: process state, resolved once
+// (CPUID + the GRIMP_SIMD env knob) on first use and overridable only
+// through SetSimdLevel — constructing or loading an engine never touches
+// it. Every kernel call reads the active table through one atomic pointer
+// load.
 enum class SimdLevel : int {
   kScalar = 0,  // portable C++ reference kernels (any x86-64 / any arch)
   kAvx2 = 1,    // AVX2 + FMA kernels (8-wide float, fused multiply-add)
@@ -26,7 +27,7 @@ bool SimdAvx2Supported();
 // an unsupported CPU logs a warning and falls back to scalar).
 SimdLevel ActiveSimdLevel();
 
-// Forces the dispatch level (test hook + GrimpOptions::simd plumbing).
+// Forces the dispatch level (test and benchmark hook).
 // Requests above what the CPU supports are clamped; returns the level
 // actually applied. Call between kernel invocations, not during one.
 SimdLevel SetSimdLevel(SimdLevel level);
@@ -36,12 +37,6 @@ SimdLevel SetSimdLevel(SimdLevel level);
 // any other string.
 bool ParseSimdChoice(const std::string& choice, SimdLevel* level,
                      bool* is_auto);
-
-// Applies a validated choice string: "auto" re-resolves from the
-// environment + CPUID, otherwise forces the named level (clamped to what
-// the CPU supports). Unknown strings are ignored (Validate() rejects them
-// before they get here).
-void ApplySimdChoice(const std::string& choice);
 
 namespace simd {
 

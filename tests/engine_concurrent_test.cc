@@ -1,16 +1,20 @@
 // Concurrency contract of GrimpEngine: after Fit, Transform and
-// TransformMany are const and touch no shared mutable state, so any number
-// of threads may impute on one engine simultaneously and every result must
-// be bit-identical to a serial call. Run under GRIMP_SANITIZE=thread to
-// catch violations the assertions can't see.
+// TransformMany (batch and stream mode) are const and touch no shared
+// mutable state, so any number of threads may impute on one engine
+// simultaneously and every result must be bit-identical to a serial call.
+// Run under GRIMP_SANITIZE=thread to catch violations the assertions can't
+// see (the TSan build also reruns this suite with the arena off).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/engine.h"
+#include "data/temporal.h"
+#include "stream/live_graph.h"
 
 namespace grimp {
 namespace {
@@ -47,7 +51,7 @@ Table DirtyRow(int which) {
   return t;
 }
 
-std::unique_ptr<GrimpEngine> FitEngine() {
+GrimpOptions EngineOptions() {
   GrimpOptions options;
   options.dim = 8;
   options.shared_hidden = 16;
@@ -55,6 +59,11 @@ std::unique_ptr<GrimpEngine> FitEngine() {
   options.max_epochs = 10;
   options.validation_fraction = 0.0;
   options.seed = 7;
+  return options;
+}
+
+std::unique_ptr<GrimpEngine> FitEngine(
+    const GrimpOptions& options = EngineOptions()) {
   auto engine = std::make_unique<GrimpEngine>(options);
   EXPECT_TRUE(engine->Fit(TrainingTable()).ok());
   return engine;
@@ -157,6 +166,78 @@ TEST(EngineConcurrentTest, ConcurrentBatchesAreBitIdentical) {
       }
       for (size_t i = 0; i < expected.size(); ++i) {
         if (RowCells((*result)[i]) != expected[i]) mismatches[t]++;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
+// Every cell of `table`, row-major.
+std::vector<std::string> AllCells(const Table& table) {
+  std::vector<std::string> cells;
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    for (int c = 0; c < table.num_cols(); ++c) {
+      cells.push_back(table.column(c).StringAt(r));
+    }
+  }
+  return cells;
+}
+
+TEST(EngineConcurrentTest, ConcurrentStreamingTransformsAreBitIdentical) {
+  GrimpOptions options = EngineOptions();
+  options.train.mode = TrainMode::kSampled;
+  options.train.batch_size = 8;
+  options.train.fanouts = {2, 2};
+  auto engine = FitEngine(options);
+
+  // One live graph: the training rows followed by a window of dirty rows.
+  Table live_table = TrainingTable();
+  constexpr int kWindowRows = 6;
+  const int64_t row_begin = live_table.num_rows();
+  for (int which = 0; which < kWindowRows; ++which) {
+    ASSERT_TRUE(live_table.AppendRow(RowStrings(DirtyRow(which), 0)).ok());
+  }
+  LiveGraphOptions live_options;
+  live_options.dim = options.dim;
+  live_options.seed = options.seed;
+  auto live_or = LiveGraph::Create(live_table, live_options);
+  ASSERT_TRUE(live_or.ok()) << live_or.status().ToString();
+  const LiveGraph& live = **live_or;
+
+  // Imputes a copy of the window in stream mode with `nonce`.
+  const auto stream_window = [&](uint64_t nonce) {
+    Table window(live.table().schema());
+    for (int64_t r = row_begin; r < live.table().num_rows(); ++r) {
+      EXPECT_TRUE(window.AppendRow(RowStrings(live.table(), r)).ok());
+    }
+    const StreamContext ctx = live.Context(row_begin, {}, nonce);
+    TransformOptions transform;
+    transform.stream = &ctx;
+    Table* window_ptr = &window;
+    const Status status = engine->TransformMany(
+        std::span<Table* const>(&window_ptr, 1), transform);
+    return status.ok() ? AllCells(window) : std::vector<std::string>{};
+  };
+
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 200;
+  std::vector<std::vector<std::string>> serial;
+  for (int t = 0; t < kThreads; ++t) {
+    serial.push_back(stream_window(static_cast<uint64_t>(t)));
+    ASSERT_FALSE(serial.back().empty());
+  }
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        if (stream_window(static_cast<uint64_t>(t)) !=
+            serial[static_cast<size_t>(t)]) {
+          mismatches[t]++;
+        }
       }
     });
   }

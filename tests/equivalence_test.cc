@@ -242,7 +242,6 @@ GrimpOptions WorkloadOptions(const Config& config) {
   options.train.pipeline_depth = config.pipeline_depth;
   options.graph = StoreConfig(config.store);
   options.num_threads = config.threads;
-  options.simd = SimdLevelName(config.simd);
   return options;
 }
 
@@ -280,7 +279,6 @@ Fingerprint RunWorkload(const Config& config) {
     EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
     if (!loaded.ok()) return fp;
     engine = std::move(*loaded);
-    SetSimdLevel(config.simd);  // the loaded engine re-resolved "auto"
   }
 
   Table first = Rows(data.dirty, kFitRows, kFitRows + kBatchRows);

@@ -162,6 +162,35 @@ TEST(NeighborSamplerTest, DeterministicUnderFixedSeed) {
   });
 }
 
+// A gather row (repeats, -1 for masked cells) samples exactly what its
+// distinct seeds in first-seen order sample, and reports each entry's row.
+TEST(NeighborSamplerTest, GatherRowSeedsMatchTheirDistinctSeeds) {
+  const HeteroGraph g = HubGraph();
+  ForEachStore(g, [&](const GraphStore* store) {
+    NeighborSampler sampler(store, {2, 3});
+    Rng rng_row(7), rng_distinct(7);
+    const SampledSubgraph row =
+        sampler.Sample({3, -1, 0, 3, -1, 0}, &rng_row);
+    const SampledSubgraph distinct = sampler.Sample({3, 0}, &rng_distinct);
+    EXPECT_EQ(row.seed_rows, (std::vector<int32_t>{0, -1, 1, 0, -1, 1}));
+    EXPECT_EQ(distinct.seed_rows, (std::vector<int32_t>{0, 1}));
+    EXPECT_EQ(row.output_nodes, distinct.output_nodes);
+    EXPECT_EQ(row.input_nodes, distinct.input_nodes);
+    EXPECT_EQ(rng_row.Next(), rng_distinct.Next());
+    ASSERT_EQ(row.blocks.size(), distinct.blocks.size());
+    for (size_t l = 0; l < row.blocks.size(); ++l) {
+      EXPECT_EQ(row.blocks[l].num_src, distinct.blocks[l].num_src);
+      EXPECT_EQ(row.blocks[l].num_dst, distinct.blocks[l].num_dst);
+      for (size_t t = 0; t < row.blocks[l].adjacency.size(); ++t) {
+        EXPECT_EQ(row.blocks[l].adjacency[t].offsets(),
+                  distinct.blocks[l].adjacency[t].offsets());
+        EXPECT_EQ(row.blocks[l].adjacency[t].indices(),
+                  distinct.blocks[l].adjacency[t].indices());
+      }
+    }
+  });
+}
+
 TEST(NeighborSamplerTest, KeepsEverythingWhenFanoutExceedsDegree) {
   const HeteroGraph g = HubGraph();
   ForEachStore(g, [&](const GraphStore* store) {

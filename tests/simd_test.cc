@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/engine.h"
+#include "core/grimp.h"
 #include "gradcheck.h"
 #include "tensor/nn.h"
 #include "tensor/optimizer.h"
@@ -98,6 +104,41 @@ TEST(SimdDispatchTest, SetLevelRoundTripsAndClamps) {
   }
   EXPECT_EQ(ActiveSimdLevel(), applied);
   SetSimdLevel(prev);
+}
+
+// The tier is process state: constructing an engine or imputer, or loading
+// a model (what a registry does on every publish), must not re-resolve it.
+TEST(SimdDispatchTest, EnginesLeaveTheProcessTierAlone) {
+  if (!SimdAvx2Supported()) {
+    GTEST_SKIP() << "scalar is the only tier without AVX2";
+  }
+  ScopedSimdLevel scalar(SimdLevel::kScalar);
+  GrimpOptions options;
+  options.dim = 4;
+  options.shared_hidden = 8;
+  options.task_hidden = 8;
+  options.max_epochs = 1;
+  options.validation_fraction = 0.0;
+  GrimpEngine engine(options);
+  EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
+  const GrimpImputer imputer(options);
+  EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
+
+  Table table(Schema({{"a", AttrType::kCategorical},
+                      {"b", AttrType::kCategorical}}));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(table.AppendRow({i % 2 ? "x" : "y", i % 2 ? "u" : "v"}).ok());
+  }
+  ASSERT_TRUE(engine.Fit(table).ok());
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("grimp_simd_tier_" + std::to_string(getpid()) + ".bin"))
+          .string();
+  ASSERT_TRUE(engine.Save(path).ok());
+  auto loaded = GrimpEngine::Load(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
 }
 
 TEST(SimdDispatchTest, LevelNames) {
